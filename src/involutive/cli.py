@@ -3,7 +3,8 @@
 Subcommands: characters, analyze, gnf, ideal, sample, census.
 Exit codes for ``analyze``: 0 = involutive, 1 = not involutive,
 2 = error or inconclusive endovolutivity search (the oracle verdict is
-still printed in that case).
+still printed in that case).  Every command reports an error as one
+line on stderr and exit code 2, never as a traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .involutivity import (
     build_b_array,
     cartan_test,
     find_generic_basis,
+    prolongation_dimension,
     search_endovolutive_basis,
 )
 from .linalg import format_rational, parse_rational
@@ -45,11 +47,21 @@ from .moduli import (
 from .tableau import CartanCharacters
 
 
+def _usage_error(message: str):
+    """Refuse a malformed argument the way argparse does: exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_rational_list(text: str, flag: str) -> list[Fraction]:
     try:
-        return [parse_rational(part) for part in text.split(",") if part.strip()]
+        values = [parse_rational(part) for part in text.split(",")
+                  if part.strip()]
     except ValueError as exc:
-        raise SystemExit(f"error: {flag}: {exc}")
+        _usage_error(f"{flag}: {exc}")
+    if not values:
+        _usage_error(f"{flag}: no values given")
+    return values
 
 
 def _parse_characters(values: list[int]) -> CartanCharacters:
@@ -58,12 +70,27 @@ def _parse_characters(values: list[int]) -> CartanCharacters:
         chars.require_staircase()
         return chars
     except ValueError as exc:
-        raise SystemExit(f"error: characters: {exc}")
+        _usage_error(f"characters: {exc}")
 
 
 def _print_basis(basis, indent="  "):
     print(f"{indent}W change: {matrix_to_lists(basis.w_change)}")
     print(f"{indent}V* change: {matrix_to_lists(basis.v_change)}")
+
+
+def _certified_line(certified: bool) -> str:
+    if certified:
+        return "characters certified: yes (dim A^(1) = bound)"
+    return ("characters certified: no (dim A^(1) < bound; "
+            "characters from the seeded search)")
+
+
+def _generic_basis(tab, args):
+    """Generic basis pair and characters, certified by dim A^(1) when it can."""
+    dim_a1, _ = prolongation_dimension(tab)
+    basis, chars = find_generic_basis(tab, seed=args.seed, trials=args.trials,
+                                      dim_a1=dim_a1)
+    return basis, chars, dim_a1 == chars.cartan_bound
 
 
 def report_to_dict(report: InvolutivityReport) -> dict:
@@ -73,6 +100,7 @@ def report_to_dict(report: InvolutivityReport) -> dict:
         "dim_A": report.dim_A,
         "dim_A1": report.dim_A1,
         "cartan_bound": report.cartan_bound,
+        "characters_certified": report.characters_certified,
         "involutive": report.involutive,
         "endovolutive": report.endovolutive,
         "endovolutive_inconclusive": report.endovolutive_inconclusive,
@@ -96,8 +124,9 @@ def report_to_dict(report: InvolutivityReport) -> dict:
 def cmd_characters(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
-    basis, chars = find_generic_basis(tab, seed=args.seed, trials=args.trials)
+    basis, chars, certified = _generic_basis(tab, args)
     print(f"characters: {' '.join(str(x) for x in chars.s)}")
+    print(_certified_line(certified))
     print(f"dim A = {chars.dim}")
     print(f"dim H^1 = {tab.r * tab.n - chars.dim}")
     print("generic basis used:")
@@ -115,6 +144,7 @@ def cmd_analyze(args) -> int:
     else:
         print(f"characters: {' '.join(str(x) for x in report.characters.s)}"
               f"  (ell = {report.characters.ell})")
+        print(_certified_line(report.characters_certified))
         print(f"dim A = {report.dim_A}, dim H^1 = {report.dim_H1}, "
               f"dim H^2 = {report.dim_H2}")
         print(f"dim A^(1) = {report.dim_A1}, bound = {report.cartan_bound}")
@@ -141,7 +171,7 @@ def cmd_analyze(args) -> int:
 def cmd_gnf(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
-    basis, chars = find_generic_basis(tab, seed=args.seed, trials=args.trials)
+    basis, chars, certified = _generic_basis(tab, args)
     found = search_endovolutive_basis(tab, basis, seed=args.seed + 1)
     if found is None:
         print("endovolutive search inconclusive; normal form unavailable")
@@ -158,6 +188,7 @@ def cmd_gnf(args) -> int:
         print(f"error: --phi: {exc}", file=sys.stderr)
         return 2
     print(f"characters: {' '.join(str(x) for x in chars.s)}")
+    print(_certified_line(certified))
     print(f"W^-(phi): dim {wm.dim}, basis "
           f"{[[format_rational(e) for e in v.entries()] for v in wm.basis]}")
     print(f"W^1(phi): dim {w1.dim}, basis "
@@ -218,8 +249,15 @@ def cmd_census(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="involutive",
         description="Exact involutivity analysis of PDE symbol tableaux.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -229,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("--input", required=True, help="tableau JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=32)
+        p.add_argument("--trials", type=int, default=32,
+                       help="maximum number of seeded random basis "
+                            "candidates; the search stops at the first one "
+                            "whose characters dim A^(1) certifies "
+                            "(default: 32)")
 
     p = sub.add_parser("characters", help="generic Cartan characters")
     add_common(p)
@@ -276,8 +318,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except Exception as exc:  # the CLI boundary: one line, never a traceback
+        message = f"{type(exc).__name__}: {exc}"
+    print(f"error: {' '.join(message.split())}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -391,6 +391,16 @@ class InvolutivityReport:
     presentation: Optional[SymbolPresentation] = None
     endo_basis: Optional[BasisPair] = None
 
+    @property
+    def characters_certified(self) -> bool:
+        """True when dim A^(1) equals the bound of the returned flag.
+
+        Cartan's inequality then proves the characters generic (and the
+        tableau involutive); otherwise the characters and the
+        non-involutive verdict rest on the seeded basis search.
+        """
+        return self.dim_A1 == self.cartan_bound
+
     def criterion_involutive(self) -> Optional[bool]:
         """Verdict of the quadratic criterion, None when inconclusive."""
         if self.endovolutive_inconclusive:
@@ -400,10 +410,15 @@ class InvolutivityReport:
 
 def cartan_test(tab: Tableau, seed: int = 0, trials: int = 32,
                 variant: str = "theorem", retries: int = 8) -> InvolutivityReport:
-    """Full pipeline: generic basis, oracle, endovolutive search, criterion."""
-    basis, chars = find_generic_basis(tab, seed=seed, trials=trials)
-    dim_a = chars.dim
+    """Full pipeline: oracle, generic basis, endovolutive search, criterion.
+
+    The oracle runs first so that ``dim A^(1)`` can stop the basis search
+    at the first candidate it certifies.
+    """
     dim_a1, dim_h2 = prolongation_dimension(tab)
+    basis, chars = find_generic_basis(tab, seed=seed, trials=trials,
+                                      dim_a1=dim_a1)
+    dim_a = chars.dim
     bound = chars.cartan_bound
     violations: list[QuadraticViolation] = []
     pres = None

@@ -22,6 +22,7 @@ from typing import Optional
 
 from .linalg import (
     RatMatrix,
+    SingularMatrix,
     invert,
     kernel_basis,
     random_invertible_rng,
@@ -111,7 +112,16 @@ class BasisPair:
 
     @classmethod
     def identity(cls, r: int, n: int) -> "BasisPair":
-        return cls(RatMatrix.identity(r), RatMatrix.identity(n))
+        return cls._unchecked(RatMatrix.identity(r), RatMatrix.identity(n))
+
+    @classmethod
+    def _unchecked(cls, w_change: RatMatrix,
+                   v_change: RatMatrix) -> "BasisPair":
+        """Pair of matrices already known to be square and invertible."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "w_change", w_change)
+        object.__setattr__(pair, "v_change", v_change)
+        return pair
 
     def apply(self, pi: RatMatrix) -> RatMatrix:
         return self.w_change @ pi @ self.v_change
@@ -246,30 +256,32 @@ class Tableau:
         return cls(r, n, [])
 
 
-def _prefix_counts(stacked: RatMatrix, r: int, n: int) -> tuple[int, ...]:
-    """Rank increments over column prefixes: s_k = rk(<=k) - rk(<k)."""
-    _, pivots = rref(stacked)
-    counts = []
-    for k in range(1, n + 1):
-        counts.append(sum(1 for p in pivots if (k - 1) * r <= p < k * r))
-    return tuple(counts)
+def _reduce(tab: Tableau, basis: BasisPair) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Basis matrix and characters of ``tab`` in ``basis``, from one rref.
+
+    The basis matrix is the nonzero part of the reduced row echelon form
+    of the stacked spanning set; s_k = rk(<=k) - rk(<k) counts its
+    pivots in column k.
+    """
+    if basis.w_change.rows != tab.r or basis.v_change.rows != tab.n:
+        raise InvalidBasis("basis pair has wrong dimensions")
+    red, pivots = rref(tab.stacked(basis))
+    counts = [0] * tab.n
+    for p in pivots:
+        counts[p // tab.r] += 1
+    return (red.submatrix(range(len(pivots)), range(tab.r * tab.n)),
+            tuple(counts))
 
 
 def characters_in_basis(tab: Tableau, basis: BasisPair) -> CartanCharacters:
     """Characters read off column-prefix ranks in the transformed basis."""
-    if basis.w_change.rows != tab.r or basis.v_change.rows != tab.n:
-        raise InvalidBasis("basis pair has wrong dimensions")
-    return CartanCharacters(_prefix_counts(tab.stacked(basis), tab.r, tab.n))
+    return CartanCharacters(_reduce(tab, basis)[1])
 
 
-def _staircase_positions(s: tuple[int, ...], r: int,
-                         upto: Optional[int] = None) -> list[int]:
-    """Flat positions of staircase slots (b, lam) for lam <= upto."""
-    n = len(s)
-    if upto is None:
-        upto = n
+def _staircase_positions(s: tuple[int, ...], r: int) -> list[int]:
+    """Flat positions of the staircase slots (b, lam), column by column."""
     return [(lam - 1) * r + (b - 1)
-            for lam in range(1, upto + 1)
+            for lam in range(1, len(s) + 1)
             for b in range(1, s[lam - 1] + 1)]
 
 
@@ -280,49 +292,62 @@ def _staircase_generic(basis_mat: RatMatrix, s: tuple[int, ...], r: int) -> bool
     the projection of A onto the first k columns (generators packed to
     the top); this is what makes the symbol coefficients well-defined
     with the Fig-style triangular support.
+
+    ``basis_mat`` must be in reduced row echelon form with s_k pivots in
+    column k, as ``_reduce`` returns it.  Then the projection onto the
+    first k columns has rank s_1 + ... + s_k, and the staircase columns
+    form a square block upper-triangular matrix whose k-th diagonal
+    block pairs the rows pivoting in column k with the staircase slots
+    of column k.  Every level is bijective exactly when every diagonal
+    block is invertible, that is, when the whole matrix is.
     """
-    n = len(s)
-    total = 0
-    for k in range(1, n + 1):
-        total += s[k - 1]
-        cols = _staircase_positions(s, r, k)
-        sub = basis_mat.select_columns(list(range(0, k * r)))
-        proj_rank = rank(sub)
-        if proj_rank != total:
-            return False
-        if rank(basis_mat.select_columns(cols)) != total:
-            return False
-    return True
+    stair = basis_mat.select_columns(_staircase_positions(s, r))
+    return rank(stair) == basis_mat.rows
 
 
-def find_generic_basis(tab: Tableau, seed: int = 0,
-                       trials: int = 32) -> tuple[BasisPair, CartanCharacters]:
-    """Probabilistic search for a generic basis pair.
+def _candidates(r: int, n: int, seed: int, trials: int):
+    """The identity pair, then ``trials`` seeded random pairs, drawn lazily."""
+    yield BasisPair.identity(r, n)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        p = random_invertible_rng(r, rng)
+        q = random_invertible_rng(n, rng)
+        yield BasisPair._unchecked(p, q)
 
-    Candidates are the identity pair plus ``trials`` seeded random
-    invertible pairs (integer entries in [-9, 9]).  The returned pair
-    is the first achieving the lexicographically maximal character
+
+def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
+                       dim_a1: Optional[int] = None,
+                       ) -> tuple[BasisPair, CartanCharacters]:
+    """Search for a generic basis pair, stopping early when certified.
+
+    Candidates are the identity pair plus at most ``trials`` seeded
+    random invertible pairs (integer entries in [-9, 9]).  The returned
+    pair is the first achieving the lexicographically maximal character
     sequence; among those, one passing the staircase-genericity rank
     checks is preferred.  Deterministic per seed.
+
+    Certified early exit: every flag satisfies Cartan's inequality
+    ``dim A^(1) <= s_1 + 2 s_2 + ... + n s_n``, and its prefix ranks are
+    bounded by the generic ones.  So when ``dim_a1`` (``dim A^(1)``, from
+    ``prolongation_dimension``) is given, a staircase-generic candidate
+    whose bound equals it has the generic characters, the tableau is
+    involutive, and the search returns that candidate at once -- the
+    same pair the full search would return.  Without ``dim_a1``, or on a
+    non-involutive tableau, every candidate is visited and the
+    characters rest on the seeded search.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    candidates = [BasisPair.identity(tab.r, tab.n)]
-    for _ in range(trials):
-        p = random_invertible_rng(tab.r, rng)
-        q = random_invertible_rng(tab.n, rng)
-        candidates.append(BasisPair(p, q))
-
     best: Optional[tuple] = None   # (chars, staircase_ok, basis)
-    for bp in candidates:
-        stacked = tab.stacked(bp)
-        chars = _prefix_counts(stacked, tab.r, tab.n)
-        if best is not None and chars < best[0]:
+    for bp in _candidates(tab.r, tab.n, seed, trials):
+        bm, chars = _reduce(tab, bp)
+        # a candidate that cannot replace the best one needs no staircase check
+        if best is not None and (chars < best[0]
+                                 or (chars == best[0] and best[1])):
             continue
-        red, pivots = rref(stacked)
-        bm = red.submatrix(range(len(pivots)), range(tab.r * tab.n))
         ok = _staircase_generic(bm, chars, tab.r)
+        if ok and CartanCharacters(chars).cartan_bound == dim_a1:
+            return bp, CartanCharacters(chars)
         if best is None or chars > best[0] or (ok and not best[1]):
             best = (chars, ok, bp)
     chars, _, bp = best
@@ -337,22 +362,20 @@ def extract_symbol_coefficients(tab: Tableau,
     the remaining entries (wrong characters, generators not packed to
     the top, or dependence on columns to the right).
     """
-    chars = characters_in_basis(tab, basis)
+    bm, s = _reduce(tab, basis)
+    chars = CartanCharacters(s)
     if not chars.is_weakly_decreasing():
         raise NonGenericBasis(f"characters {chars.s} not weakly decreasing")
-    s, r, n = chars.s, tab.r, tab.n
-    bm = tab.basis_matrix(basis)
-    d = bm.rows
-    if d != chars.dim:
-        raise NonGenericBasis("dimension mismatch")
-    if not _staircase_generic(bm, s, r):
-        raise NonGenericBasis("staircase projection is not bijective")
-    if d == 0:
+    r, n = tab.r, tab.n
+    if bm.rows == 0:
         return SymbolPresentation(r, chars, {})
-
-    stair = _staircase_positions(s, r)
-    gmat = bm.select_columns(stair)          # d x d, invertible by the check
-    adapted = invert(gmat) @ bm              # row g = element with unit slot g
+    # The staircase columns are invertible exactly when the basis is
+    # staircase-generic (see _staircase_generic).
+    try:
+        gmat_inv = invert(bm.select_columns(_staircase_positions(s, r)))
+    except SingularMatrix:
+        raise NonGenericBasis("staircase projection is not bijective") from None
+    adapted = gmat_inv @ bm                  # row g = element with unit slot g
     coeffs = {}
     slots = [(lam, b) for lam in range(1, n + 1)
              for b in range(1, s[lam - 1] + 1)]

@@ -1,9 +1,13 @@
 """End-to-end runs of every CLI subcommand via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import involutive
 from involutive.cli import main
 from involutive.document import save_presentation
 from conftest import make_310
@@ -30,6 +34,13 @@ class TestCharacters:
         assert "characters: 3 1 0" in out
         assert "dim A = 4" in out
         assert "dim H^1 = 5" in out
+        assert "characters certified: yes" in out
+
+    def test_uncertified_characters_say_so(self, non_involutive_doc, capsys):
+        assert main(["characters", "--input", non_involutive_doc]) == 0
+        out = capsys.readouterr().out
+        assert "characters: 3 1 0" in out
+        assert "characters certified: no" in out
 
 
 class TestAnalyze:
@@ -53,6 +64,12 @@ class TestAnalyze:
         assert data["characters"] == [3, 1, 0]
         assert data["dim_A1"] == 5 and data["cartan_bound"] == 5
         assert data["violations"] == []
+        assert data["characters_certified"] is True
+
+    def test_json_uncertified(self, non_involutive_doc, capsys):
+        assert main(["analyze", "--input", non_involutive_doc, "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["characters_certified"] is False
 
     def test_variant_flag(self, non_involutive_doc, capsys):
         assert main(["analyze", "--input", non_involutive_doc,
@@ -139,3 +156,22 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "3", "2", "1", "--count", "50"],   # OracleDisagreement
+        ["sample", "2", "1", "--set", ""],            # empty coefficient set
+        ["sample", "2", "1", "--count", "x"],         # argparse rejection
+    ])
+    def test_one_line_exit_two(self, argv, tmp_path):
+        src = os.path.dirname(os.path.dirname(involutive.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "involutive.cli", *argv,
+             "--out", str(tmp_path / "kept")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0]

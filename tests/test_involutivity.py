@@ -185,6 +185,34 @@ class TestEndovolutiveSearch:
         assert found is not None
 
 
+class TestCertifiedCharacters:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # the acceptance pool's recipe: n <= 4, r <= 5, coefficients in
+        # [-2, 2], kept when the declared staircase basis is generic
+        rng = random.Random(31)
+        out = []
+        for trial in range(1, 41):
+            chars, r = random_staircase(rng)
+            tab = tableau_from_coefficients(random_presentation(rng, chars, r))
+            rep = cartan_test(tab, seed=trial)
+            if rep.characters.s == chars.s:
+                out.append((trial, tab, rep))
+        return out
+
+    def test_early_exit_keeps_full_search_characters(self, corpus):
+        for trial, tab, rep in corpus:
+            basis, chars = find_generic_basis(tab, seed=trial, trials=32)
+            assert (rep.basis, rep.characters) == (basis, chars)
+
+    def test_certified_exactly_when_involutive(self, corpus):
+        verdicts = set()
+        for _, _, rep in corpus:
+            assert rep.characters_certified == rep.involutive
+            verdicts.add(rep.involutive)
+        assert verdicts == {True, False}
+
+
 class TestCartanTest:
     def test_full_tableau_involutive(self):
         rep = cartan_test(Tableau.full(2, 3))

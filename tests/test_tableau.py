@@ -17,10 +17,15 @@ from involutive import (
     restrict_to_U,
     tableau_from_coefficients,
 )
-from involutive.linalg import random_unit_upper_triangular
+from involutive import prolongation_dimension, rank, rref
+from involutive.linalg import random_invertible_rng, random_unit_upper_triangular
+from involutive.moduli import coefficient_variables, presentation_from_assignment
+from involutive import tableau as tableau_mod
 from involutive.tableau import (
+    InvalidBasis,
     NonGenericBasis,
     NotInTableau,
+    _staircase_generic,
     decompose_element,
 )
 from conftest import make_310
@@ -198,3 +203,141 @@ class TestBorelChanges:
             chars = characters_in_basis(tab, BasisPair(
                 RatMatrix.identity(3), q))
             assert chars.s == (3, 1, 0)
+
+
+def _reference_staircase_generic(bm, s, r):
+    """Level-by-level definition: for each k, the projection onto the
+    first k columns and its staircase slots both have rank s_1+...+s_k."""
+    total = 0
+    for k in range(1, len(s) + 1):
+        total += s[k - 1]
+        prefix = list(range(k * r))
+        stair = [(lam - 1) * r + b - 1
+                 for lam in range(1, k + 1) for b in range(1, s[lam - 1] + 1)]
+        if rank(bm.select_columns(prefix)) != total:
+            return False
+        if rank(bm.select_columns(stair)) != total:
+            return False
+    return True
+
+
+def _reference_search(tab, seed, trials):
+    """The search without early exit: every candidate drawn up front,
+    characters and basis matrix from separate eliminations."""
+    rng = random.Random(seed)
+    candidates = [BasisPair.identity(tab.r, tab.n)]
+    for _ in range(trials):
+        p = random_invertible_rng(tab.r, rng)
+        q = random_invertible_rng(tab.n, rng)
+        candidates.append(BasisPair(p, q))
+    best = None
+    for bp in candidates:
+        stacked = tab.stacked(bp)
+        chars = characters_in_basis(tab, bp).s
+        if best is not None and chars < best[0]:
+            continue
+        red, pivots = rref(stacked)
+        bm = red.submatrix(range(len(pivots)), range(tab.r * tab.n))
+        ok = _reference_staircase_generic(bm, chars, tab.r)
+        if best is None or chars > best[0] or (ok and not best[1]):
+            best = (chars, ok, bp)
+    return best[2], best[0]
+
+
+def _corpus(seed, count, scramble=None):
+    """Staircase tableaux by the acceptance pool's recipe (n <= 4, r <= 5,
+    coefficients in [-2, 2]).  ``scramble="random"`` moves each into a
+    seeded random basis pair; ``scramble="rows"`` reverses the W basis,
+    which keeps the characters of every flag but breaks the staircase."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, r = rng.randint(1, 4), rng.randint(1, 5)
+        s = tuple(sorted((rng.randint(0, r) for _ in range(n)), reverse=True))
+        chars = CartanCharacters(s)
+        asg = {v: Fraction(rng.randint(-2, 2))
+               for v in coefficient_variables(chars)}
+        tab = tableau_from_coefficients(
+            presentation_from_assignment(chars, asg, r=r))
+        if scramble == "random":
+            bp = BasisPair(random_invertible_rng(r, rng),
+                           random_invertible_rng(n, rng))
+            tab = Tableau(r, n, [bp.apply(m) for m in tab.span])
+        elif scramble == "rows":
+            tab = Tableau(r, n, [RatMatrix.from_rows(m.row_list()[::-1])
+                                 for m in tab.span])
+        out.append(tab)
+    return out
+
+
+class TestGenericBasisSearch:
+    def test_cartan_inequality_in_every_flag(self):
+        # dim A^(1) <= s_1 + 2 s_2 + ... + n s_n for the identity flag and
+        # for seeded random flags, involutive or not.
+        rng = random.Random(17)
+        seen = set()
+        for tab in _corpus(5, 30, "random"):
+            dim_a1, _ = prolongation_dimension(tab)
+            pairs = [BasisPair.identity(tab.r, tab.n)] + [
+                BasisPair(random_invertible_rng(tab.r, rng, bound=2),
+                          random_invertible_rng(tab.n, rng, bound=2))
+                for _ in range(3)]
+            for bp in pairs:
+                bound = characters_in_basis(tab, bp).cartan_bound
+                assert dim_a1 <= bound
+            _, chars = find_generic_basis(tab, seed=1, trials=4)
+            seen.add(dim_a1 == chars.cartan_bound)
+        assert seen == {True, False}
+
+    def test_staircase_check_matches_level_definition(self):
+        rng = random.Random(8)
+        checked = set()
+        for tab in _corpus(6, 30):
+            pairs = [BasisPair.identity(tab.r, tab.n),
+                     BasisPair(RatMatrix.identity(tab.r),
+                               random_unit_upper_triangular(tab.n, rng)),
+                     BasisPair(random_invertible_rng(tab.r, rng, bound=1),
+                               random_invertible_rng(tab.n, rng, bound=1))]
+            for bp in pairs:
+                red, pivots = rref(tab.stacked(bp))
+                bm = red.submatrix(range(len(pivots)),
+                                   range(tab.r * tab.n))
+                s = characters_in_basis(tab, bp).s
+                expected = _reference_staircase_generic(bm, s, tab.r)
+                assert _staircase_generic(bm, s, tab.r) == expected
+                checked.add(expected)
+        assert checked == {True, False}
+
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_same_pair_as_reference_search(self, scramble):
+        for k, tab in enumerate(_corpus(7, 12, scramble)):
+            expected = _reference_search(tab, seed=k, trials=6)
+            dim_a1, _ = prolongation_dimension(tab)
+            for a1 in (None, dim_a1):
+                bp, chars = find_generic_basis(tab, seed=k, trials=6,
+                                               dim_a1=a1)
+                assert (bp, chars.s) == expected
+
+    def test_certified_candidate_stops_the_search(self, monkeypatch):
+        calls = []
+
+        def counting(dim, rng, bound=9):
+            calls.append(dim)
+            return random_invertible_rng(dim, rng, bound)
+
+        monkeypatch.setattr(tableau_mod, "random_invertible_rng", counting)
+        tab = tableau_from_coefficients(make_310(T2=2, R3=2, Q=1))
+        dim_a1, _ = prolongation_dimension(tab)
+        _, chars = find_generic_basis(tab, dim_a1=dim_a1)
+        assert chars.s == (3, 1, 0) and calls == []
+        find_generic_basis(tab)
+        assert len(calls) == 2 * 32
+
+    def test_user_basis_pairs_are_validated(self):
+        singular = RatMatrix.from_rows([[1, 2], [2, 4]])
+        with pytest.raises(InvalidBasis):
+            BasisPair(singular, RatMatrix.identity(2))
+        with pytest.raises(InvalidBasis):
+            BasisPair(RatMatrix.identity(2), RatMatrix.zeros(2, 3))
+        with pytest.raises(InvalidBasis):
+            BasisPair.identity(2, 2).then_v(singular)
