@@ -26,7 +26,7 @@ from .tableau import (
     NonGenericBasis,
     SymbolPresentation,
     Tableau,
-    characters_in_basis,
+    _reduce,
     extract_symbol_coefficients,
     find_generic_basis,
     random_unit_upper_triangular,
@@ -44,7 +44,9 @@ class BArray:
     """ell x n grid of r x r symbol endomorphism blocks B^lam_i.
 
     Diagonal blocks carry the identity on the first s_lam coordinates;
-    block (lam, i) with i < lam is zero.
+    block (lam, i) with i < lam is zero.  Blocks are RatMatrix, except in
+    ``moduli.symbolic_b_array``, whose blocks are the nested lists of
+    ``staircase_blocks`` with polynomial entries.
     """
 
     r: int
@@ -75,27 +77,36 @@ class BArray:
         return True
 
 
-def build_b_array(p: SymbolPresentation) -> BArray:
-    """Assemble the B-array, inserting identities on diagonal blocks."""
-    s = p.characters.s
-    r, n, ell = p.r, p.n, p.characters.ell
+def staircase_blocks(chars: CartanCharacters, r: int, coefficient,
+                     one) -> tuple:
+    """ell x n grid of r x r nested lists: ``one`` on the first s_lam
+    diagonal entries of block (lam, lam), ``coefficient(a, lam, i, b)``
+    in block (lam, i >= lam) on rows a > s_i and columns b <= s_lam,
+    and 0 elsewhere."""
+    s = chars.s
     grid = []
-    for lam in range(1, ell + 1):
+    for lam in range(1, chars.ell + 1):
         row = []
-        for i in range(1, n + 1):
-            entries = [[Fraction(0)] * r for _ in range(r)]
+        for i in range(1, chars.n + 1):
+            entries = [[0] * r for _ in range(r)]
             if lam == i:
                 for a in range(s[lam - 1]):
-                    entries[a][a] = Fraction(1)
+                    entries[a][a] = one
             if lam <= i:
                 for a in range(s[i - 1] + 1, r + 1):
                     for b in range(1, s[lam - 1] + 1):
-                        v = p.coefficient(a, lam, i, b)
-                        if v:
-                            entries[a - 1][b - 1] = v
-            row.append(RatMatrix.from_rows(entries))
+                        entries[a - 1][b - 1] = coefficient(a, lam, i, b)
+            row.append(entries)
         grid.append(tuple(row))
-    return BArray(r, p.characters, tuple(grid))
+    return tuple(grid)
+
+
+def build_b_array(p: SymbolPresentation) -> BArray:
+    """Assemble the B-array, inserting identities on diagonal blocks."""
+    grid = staircase_blocks(p.characters, p.r, p.coefficient, Fraction(1))
+    return BArray(p.r, p.characters,
+                  tuple(tuple(RatMatrix.from_rows(m) for m in row)
+                        for row in grid))
 
 
 def is_endovolutive(p: SymbolPresentation):
@@ -130,17 +141,19 @@ class QuadraticViolation:
                 "a": self.a, "b": self.b, "value": format_rational(self.value)}
 
 
-def _partial_identity(r: int, s: int) -> RatMatrix:
-    return RatMatrix.from_rows(
-        [[Fraction(int(a == b and a < s)) for b in range(r)]
-         for a in range(r)])
+def _matmul(x: list, y: list) -> list:
+    """x @ y for square nested lists; zero entries (falsy) are skipped."""
+    cols = list(zip(*y))
+    return [[sum(p * q for p, q in zip(row, col) if p and q) for col in cols]
+            for row in x]
 
 
-def _truncate_rows(m: RatMatrix, keep: int) -> RatMatrix:
-    """Zero every row with 1-based index > keep."""
-    return RatMatrix.from_rows(
-        [[m[a, b] if a < keep else Fraction(0) for b in range(m.cols)]
-         for a in range(m.rows)])
+def _zero_rows(count: int, r: int) -> list:
+    return [[0] * r for _ in range(count)]
+
+
+def _add(x: list, y: list) -> list:
+    return [[p + q for p, q in zip(u, v)] for u, v in zip(x, y)]
 
 
 def reduced_conditions(barr: BArray) -> dict:
@@ -155,40 +168,47 @@ def reduced_conditions(barr: BArray) -> dict:
     (first possible at n >= 4).  Returns a map from (lam, mu, i, j) to
     the r x r coefficient matrix, already restricted to rows a > s_i and
     omitting identically-zero coefficients.
+
+    Only ring operations are used, so the blocks may also be r x r
+    nested lists of polynomials (``moduli.symbolic_b_array``); the
+    coefficient matrices are then nested lists too, with 0 for zero
+    entries.
     """
     s = barr.characters.s
     r, n, ell = barr.r, barr.n, barr.ell
-    zero = RatMatrix.zeros(r, r)
-
-    def blk(lam, i):
-        if lam > ell or i < lam:
-            return zero
-        return barr.block(lam, i)
-
+    if not ell:
+        return {}
+    numeric = isinstance(barr.block(1, 1), RatMatrix)
+    rows = {(lam, i): (barr.block(lam, i).row_list() if numeric
+                       else barr.block(lam, i))
+            for lam in range(1, ell + 1) for i in range(lam, n + 1)}
     memo: dict[tuple[int, int], dict] = {}
 
     def accumulate(terms, key, mat):
         cur = terms.get(key)
-        terms[key] = mat if cur is None else cur + mat
+        terms[key] = mat if cur is None else _add(cur, mat)
 
     def expand(i, j):
         """Raw combination of generators for the (i, j) wedge term."""
-        terms: dict[tuple[int, int], RatMatrix] = {}
+        terms: dict[tuple[int, int], list] = {}
         for mu in range(i, min(j, ell) + 1):
             if s[mu - 1] > 0:
+                # B^mu_j restricted to its first s_mu columns
                 accumulate(terms, (mu, i),
-                           blk(mu, j) @ _partial_identity(r, s[mu - 1]))
+                           [row[:s[mu - 1]] + [0] * (r - s[mu - 1])
+                            for row in rows[(mu, j)]])
         for lam in range(1, min(i, ell + 1)):
             for key, mat in reduce_z(lam, i).items():
-                accumulate(terms, key, blk(lam, j) @ mat)
+                accumulate(terms, key, _matmul(rows[(lam, j)], mat))
             for key, mat in reduce_z(lam, j).items():
-                accumulate(terms, key, (zero - blk(lam, i)) @ mat)
+                accumulate(terms, key, [[-v for v in row] for row in
+                                        _matmul(rows[(lam, i)], mat)])
         return terms
 
     def reduce_z(i, j):
         """Z_{i,j} (rows a <= s_i) in terms of the free generators."""
         if (i, j) not in memo:
-            memo[(i, j)] = {k: _truncate_rows(m, s[i - 1])
+            memo[(i, j)] = {k: m[:s[i - 1]] + _zero_rows(r - s[i - 1], r)
                             for k, m in expand(i, j).items()}
         return memo[(i, j)]
 
@@ -196,19 +216,13 @@ def reduced_conditions(barr: BArray) -> dict:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for (mu, lam), mat in expand(i, j).items():
-                rows = []
-                nonzero = False
-                for a in range(r):
-                    row = []
-                    for b in range(r):
-                        # negated so the leading term reads
-                        # B^lam_i B^mu_j - B^lam_j B^mu_i
-                        v = -mat[a, b] if a >= s[i - 1] else Fraction(0)
-                        row.append(v)
-                        nonzero = nonzero or v != 0
-                    rows.append(row)
-                if nonzero:
-                    out[(lam, mu, i, j)] = RatMatrix.from_rows(rows)
+                # negated so the leading term reads
+                # B^lam_i B^mu_j - B^lam_j B^mu_i
+                below = [[-v for v in row] for row in mat[s[i - 1]:]]
+                if any(any(row) for row in below):
+                    cond = _zero_rows(s[i - 1], r) + below
+                    out[(lam, mu, i, j)] = (RatMatrix.from_rows(cond)
+                                            if numeric else cond)
     return out
 
 
@@ -301,24 +315,21 @@ def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
         result = _try_endovolutive(tab, cur)
         if result is not None:
             return result
-        cur = basis.then_v(random_unit_upper_triangular(n, rng))
+        # unit upper-triangular, so invertible: no rank check needed
+        cur = BasisPair._unchecked(
+            basis.w_change,
+            basis.v_change @ random_unit_upper_triangular(n, rng))
     return None
 
 
 def _try_endovolutive(tab, basis):
-    try:
-        chars = characters_in_basis(tab, basis)
-    except NonGenericBasis:
-        return None
+    bm, counts = _reduce(tab, basis)
+    chars = CartanCharacters(counts)
     if not chars.is_weakly_decreasing():
         return None
     s, r, ell = chars.s, tab.r, chars.ell
     if ell == 0:
-        try:
-            return basis, extract_symbol_coefficients(tab, basis)
-        except NonGenericBasis:
-            return None
-    bm = tab.basis_matrix(basis)
+        return basis, SymbolPresentation(r, chars, {})
 
     # Column-lam projection of the elements vanishing in columns < lam.
     flag = []
@@ -363,7 +374,8 @@ def _try_endovolutive(tab, basis):
         if rank(RatMatrix.from_rows(cand)) == len(cand):
             adapted = cand
     w_new = invert(RatMatrix.from_rows(adapted).transpose())
-    bp = basis.then_w(w_new)
+    # w_new is an inverse, so invertible: no rank check needed
+    bp = BasisPair._unchecked(w_new @ basis.w_change, basis.v_change)
     try:
         pres = extract_symbol_coefficients(tab, bp)
     except NonGenericBasis:

@@ -1,15 +1,19 @@
 """Exploring the space of endovolutive coefficient assignments.
 
 For fixed characters, the free endovolutive coefficient slots are
-formal variables; the commutator entries of the quadratic criterion
-expand to degree-<=2 polynomials in them.  This module exports those
-polynomials as an ideal, samples assignments that land on its variety,
-and exhaustively enumerates small censuses, always cross-checking kept
-samples against the prolongation oracle.
+formal variables.  ``reduced_conditions`` run on the B-array of these
+variables gives the criterion's conditions as polynomials in them:
+degree-2 commutator terms plus, from n = 4 on, nested corrections of
+higher degree.  This module exports those polynomials as an ideal,
+samples assignments that land on its variety, and exhaustively
+enumerates small censuses.  The sampler and the census compile the
+polynomials once per call and evaluate them per assignment; every kept
+sample is still cross-checked against the prolongation oracle.
 
-Polynomials are plain expanded term maps (monomial tuple -> coefficient),
-no CAS involved.  Variable naming in exports is ``B[a,lam,i,b]`` with a
-stable lexicographic term order, so output is diffable across runs.
+Polynomials are plain expanded term maps (``Poly``: monomial tuple ->
+coefficient), no CAS involved.  Variable naming in exports is
+``B[a,lam,i,b]`` with a stable lexicographic term order, so output is
+diffable across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .involutivity import build_b_array, prolongation_dimension, quadratic_criterion
+from .involutivity import (VARIANTS, BArray, prolongation_dimension,
+                           reduced_conditions, staircase_blocks)
 from .linalg import format_rational
 from .tableau import CartanCharacters, SymbolPresentation, tableau_from_coefficients
 
@@ -65,46 +70,48 @@ def coefficient_variables(chars: CartanCharacters) -> list[CoefficientVariable]:
     return out
 
 
-# A polynomial is a dict {monomial: Fraction}; a monomial is a sorted
-# tuple of CoefficientVariable (empty tuple = constant term).
-Poly = dict
+class Poly:
+    """Sparse polynomial: {monomial: coefficient}, a monomial being a
+    sorted tuple of variable indices (the empty tuple is the constant
+    term).  The integer 0 acts as the zero polynomial in sums, so
+    ``reduced_conditions`` can run on polynomial blocks."""
 
+    __slots__ = ("terms",)
 
-def _poly_const(c) -> Poly:
-    c = Fraction(c)
-    return {(): c} if c else {}
+    def __init__(self, terms: dict):
+        self.terms = terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
-def _poly_var(v: CoefficientVariable) -> Poly:
-    return {(v,): Fraction(1)}
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.terms.items()})
 
-
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        c2 = out.get(m, Fraction(0)) + c
-        if c2:
-            out[m] = c2
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _poly_sub(p: Poly, q: Poly) -> Poly:
-    return _poly_add(p, {m: -c for m, c in q.items()})
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            c = out.get(m, Fraction(0)) + c1 * c2
+    def __add__(self, other) -> "Poly":
+        if not other:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            c += out.get(m, 0)
             if c:
                 out[m] = c
             else:
-                out.pop(m, None)
-    return out
+                del out[m]
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                c = out.get(m, 0) + c1 * c2
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return Poly(out)
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,8 @@ class IdealGenerator:
     terms: tuple  # of (monomial, Fraction)
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "IdealGenerator":
+    def from_poly(cls, p: dict) -> "IdealGenerator":
+        """From {monomial of CoefficientVariable: coefficient}."""
         return cls(tuple(sorted(p.items(), key=lambda kv: kv[0])))
 
     def specialize(self, assignment: dict) -> Fraction:
@@ -144,82 +152,86 @@ class IdealGenerator:
         return " ".join(parts)
 
 
-def _symbolic_blocks(chars: CartanCharacters, r: int) -> list[list[list[list[Poly]]]]:
-    """grid[lam-1][i-1] is an r x r matrix of polynomials."""
-    s = chars.s
-    variables = {v.key: v for v in coefficient_variables(chars)}
-    grid = []
-    for lam in range(1, chars.ell + 1):
-        row = []
-        for i in range(1, chars.n + 1):
-            mat = [[_poly_const(0) for _ in range(r)] for _ in range(r)]
-            if lam == i:
-                for a in range(s[lam - 1]):
-                    mat[a][a] = _poly_const(1)
-            elif lam < i:
-                for a in range(s[i - 1] + 1, s[lam - 1] + 1):
-                    for b in range(1, s[lam - 1] + 1):
-                        mat[a - 1][b - 1] = _poly_var(
-                            variables[(a, lam, i, b)])
-            row.append(mat)
-        grid.append(row)
-    return grid
+def symbolic_b_array(chars: CartanCharacters,
+                     r: Optional[int] = None) -> BArray:
+    """The B-array with every free slot a variable: the entry of
+    block (lam, i) at (a, b) is the polynomial of variable k, where
+    ``coefficient_variables(chars)[k]`` is B^{a,lam}_{i,b}."""
+    if r is None:
+        r = chars.s[0] if chars.s else 0
+    index = {v.key: k for k, v in enumerate(coefficient_variables(chars))}
+    if chars.s and chars.s[0] > r:
+        raise ValueError("s_1 exceeds dim W")
+
+    def coefficient(*key):
+        return Poly({(index[key],): 1}) if key in index else 0
+
+    return BArray(r, chars,
+                  staircase_blocks(chars, r, coefficient, Poly({(): 1})))
 
 
-def _sym_matmul(x, y, r):
-    out = [[_poly_const(0) for _ in range(r)] for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            acc: Poly = {}
-            for c in range(r):
-                if x[a][c] and y[c][b]:
-                    acc = _poly_add(acc, _poly_mul(x[a][c], y[c][b]))
-            out[a][b] = acc
+def symbolic_conditions(chars: CartanCharacters, variant: str = "theorem",
+                        r: Optional[int] = None) -> list[tuple[tuple, Poly]]:
+    """The nonzero entries of ``reduced_conditions`` on the symbolic
+    B-array, as ((lam, mu, i, j, a, b), polynomial) in the order
+    lam, i, j, mu, a, b; the variant selects the mu range as in
+    ``quadratic_criterion``.  Each entry evaluated at an assignment is
+    the numeric entry of the criterion there, since only ring
+    operations build it."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    conds = reduced_conditions(symbolic_b_array(chars, r))
+    out = []
+    for lam, mu, i, j in sorted(conds, key=lambda k: (k[0], k[2], k[3], k[1])):
+        if variant == "theorem" and mu >= j:
+            continue
+        for a, row in enumerate(conds[(lam, mu, i, j)], start=1):
+            for b, p in enumerate(row, start=1):
+                if p:
+                    out.append(((lam, mu, i, j, a, b), p))
     return out
 
 
 def export_ideal(chars: CartanCharacters, variant: str = "theorem",
                  r: Optional[int] = None) -> list[IdealGenerator]:
-    """Expand the commutator entries of the quadratic criterion symbolically.
+    """The reduced conditions of the quadratic criterion as polynomials.
 
-    Returns the distinct nonzero polynomials, deterministic in count and
-    content.  ``r`` defaults to s_1, which captures every condition
-    (rows past s_1 are identically zero for endovolutive arrays).
+    Each generator is one entry of ``reduced_conditions`` on the
+    symbolic B-array: a leading commutator entry plus, from n = 4 on,
+    the nested correction terms, so degrees can exceed 2.  Returns the
+    distinct nonzero polynomials in a stable order, deterministic in
+    count and content.  ``r`` defaults to s_1, which captures every
+    condition (rows past s_1 are identically zero for endovolutive
+    arrays).
     """
-    chars.require_staircase()
-    if r is None:
-        r = chars.s[0] if chars.s else 0
-    s, n, ell = chars.s, chars.n, chars.ell
-    grid = _symbolic_blocks(chars, r)
-    zero = [[_poly_const(0) for _ in range(r)] for _ in range(r)]
-
-    def block(lam, i):
-        return grid[lam - 1][i - 1] if i >= lam else zero
-
+    variables = coefficient_variables(chars)
     seen = set()
     out = []
-    for lam in range(1, ell + 1):
-        for i in range(lam + 1, n + 1):
-            for j in range(i + 1, n + 1):
-                mu_hi = j if variant == "proof" else j - 1
-                for mu in range(lam, min(ell, mu_hi) + 1):
-                    comm = _poly_mat_sub(
-                        _sym_matmul(block(lam, i), block(mu, j), r),
-                        _sym_matmul(block(lam, j), block(mu, i), r), r)
-                    for a in range(s[i - 1] + 1, r + 1):
-                        for b in range(1, r + 1):
-                            p = comm[a - 1][b - 1]
-                            if not p:
-                                continue
-                            gen = IdealGenerator.from_poly(p)
-                            if gen.terms not in seen:
-                                seen.add(gen.terms)
-                                out.append(gen)
+    for _, p in symbolic_conditions(chars, variant, r):
+        gen = IdealGenerator.from_poly(
+            {tuple(sorted(variables[k] for k in m)): Fraction(c)
+             for m, c in p.terms.items()})
+        if gen.terms not in seen:
+            seen.add(gen.terms)
+            out.append(gen)
     return out
 
 
-def _poly_mat_sub(x, y, r):
-    return [[_poly_sub(x[a][b], y[a][b]) for b in range(r)] for a in range(r)]
+def _whole(v: Fraction):
+    """``v`` as an int when it is one: evaluation runs faster on ints."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _evaluate(conditions: list, values: Sequence):
+    """Value of each ``symbolic_conditions`` entry at ``values`` (indexed
+    like ``coefficient_variables``): the criterion's entries there."""
+    for _, p in conditions:
+        total = 0
+        for mono, c in p.terms.items():
+            for k in mono:
+                c *= values[k]
+            total += c
+        yield total
 
 
 def presentation_from_assignment(chars: CartanCharacters, assignment: dict,
@@ -254,13 +266,14 @@ def sample_involutive(chars: CartanCharacters, seed: int = 0, count: int = 10,
     rng = random.Random(seed)
     variables = coefficient_variables(chars)
     pool = [Fraction(c) for c in coefficient_set]
+    conditions = symbolic_conditions(chars, variant, r)
     kept = []
     for _ in range(count):
-        assignment = {v: rng.choice(pool) for v in variables}
-        pres = presentation_from_assignment(chars, assignment, r)
-        violations = quadratic_criterion(build_b_array(pres), variant)
-        if violations:
+        values = [rng.choice(pool) for _ in variables]
+        if any(_evaluate(conditions, [_whole(v) for v in values])):
             continue
+        pres = presentation_from_assignment(
+            chars, dict(zip(variables, values)), r)
         _verify_with_oracle(pres, True)
         kept.append(pres)
     return kept
@@ -298,13 +311,13 @@ def enumerate_census(chars: CartanCharacters, coefficient_set: Sequence,
             f"{total} assignments exceed the cap of {cap}")
     if r is None:
         r = chars.s[0] if chars.s else 0
+    conditions = symbolic_conditions(chars, variant, r)
     involutive = 0
     histogram: dict[int, int] = {}
-    for values in itertools.product(pool, repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        pres = presentation_from_assignment(chars, assignment, r)
-        violations = quadratic_criterion(build_b_array(pres), variant)
-        histogram[len(violations)] = histogram.get(len(violations), 0) + 1
+    for values in itertools.product([_whole(v) for v in pool],
+                                    repeat=len(variables)):
+        violations = sum(1 for v in _evaluate(conditions, values) if v)
+        histogram[violations] = histogram.get(violations, 0) + 1
         if not violations:
             involutive += 1
     return CensusRecord(

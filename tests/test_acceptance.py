@@ -6,6 +6,7 @@ plain pytest log.  Criteria 3, 6, 7, and 8 share one module-scoped pool
 of >= 500 seeded random endovolutive presentations.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -244,18 +245,33 @@ def test_criterion_8_borel_invariance(capsys, sample_pool):
 def test_criterion_9_ideal_export_soundness(capsys):
     rng = random.Random(99)
     failures = 0
+
+    def check(chars, gens, asg):
+        on_variety = all(g.specialize(asg) == 0 for g in gens)
+        pres = presentation_from_assignment(chars, asg)
+        empty = not quadratic_criterion(build_b_array(pres), DEFAULT_VARIANT)
+        return on_variety == empty
+
     for s in ((3, 1, 0), (1, 1, 1)):
         chars = CartanCharacters(s)
         gens = export_ideal(chars, variant=DEFAULT_VARIANT)
         variables = coefficient_variables(chars)
         for _ in range(100):
             asg = {v: Fraction(rng.randint(-3, 3)) for v in variables}
-            on_variety = all(g.specialize(asg) == 0 for g in gens)
-            pres = presentation_from_assignment(chars, asg)
-            empty = not quadratic_criterion(
-                build_b_array(pres), DEFAULT_VARIANT)
-            if on_variety != empty:
+            if not check(chars, gens, asg):
                 failures += 1
+    # n = 4, where the conditions carry nested corrections: random
+    # points almost never lie on the variety, so exhaust {-1, 0, 1}
+    chars = CartanCharacters((2, 2, 1, 1))
+    gens = export_ideal(chars, variant=DEFAULT_VARIANT)
+    variables = coefficient_variables(chars)
+    total = 0
+    for values in itertools.product((-1, 0, 1), repeat=len(variables)):
+        total += 1
+        asg = {v: Fraction(x) for v, x in zip(variables, values)}
+        if not check(chars, gens, asg):
+            failures += 1
     ok = failures == 0
     _emit(capsys, 9, ok,
-          f"(3,1,0) and (1,1,1), 100 points each, {failures} mismatches")
+          f"(3,1,0) and (1,1,1), 100 points each, (2,2,1,1) over "
+          f"{{-1,0,1}}, {total} points, {failures} mismatches")

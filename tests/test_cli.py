@@ -119,6 +119,14 @@ class TestIdeal:
         with pytest.raises(SystemExit):
             main(["ideal", "1", "2"])
 
+    def test_n4_ideal(self, capsys):
+        assert main(["ideal", "2", "2", "1", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        gens = involutive.export_ideal(involutive.CartanCharacters((2, 2, 1, 1)))
+        assert lines[0] == f"{len(gens)} generators"
+        assert lines[1:] == [g.to_text() for g in gens]
+        assert gens and all("B[" in line for line in lines[1:])
+
 
 class TestSample:
     def test_writes_documents(self, tmp_path, capsys):
