@@ -172,7 +172,7 @@ def cmd_gnf(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
     basis, chars, certified = _generic_basis(tab, args)
-    found = search_endovolutive_basis(tab, basis, seed=args.seed + 1)
+    found = search_endovolutive_basis(tab, basis)
     if found is None:
         print("endovolutive search inconclusive; normal form unavailable")
         return 2

@@ -7,6 +7,12 @@ throughout; matrices are immutable and row-major.
 
 Matrices here are desk-scale (a few hundred entries), so plain Gaussian
 elimination with exact pivoting is adequate.
+
+One routine, ``pivot_columns_mod_p``, eliminates integer matrices
+modulo the prime ``MODULUS`` instead.  A rank mod p is at most the rank
+over Q, so its results are read only as lower bounds: to screen
+candidates in the generic-basis search and to accept a random matrix
+as invertible.  Every reported rank and verdict is exact.
 """
 
 from __future__ import annotations
@@ -206,6 +212,39 @@ def rank(m: RatMatrix) -> int:
     return len(rref(m)[1])
 
 
+MODULUS = 2 ** 61 - 1
+
+
+def pivot_columns_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns of an integer matrix reduced mod ``MODULUS``.
+
+    Lower bounds only.  The rank mod p of any set of leading columns is
+    at most its rank over Q, and equal to it unless p divides every
+    maximal nonzero minor; so a full count proves full rank over Q, and
+    a smaller one proves nothing.
+    """
+    p = MODULUS
+    a = [[e % p for e in row] for row in rows]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(len(a[0]) if a else 0):
+        found = next((i for i in range(pr, len(a)) if a[i][pc]), -1)
+        if found < 0:
+            continue
+        a[pr], a[found] = a[found], a[pr]
+        piv = a[pr][pc:]
+        inv = pow(piv[0], -1, p)
+        for i in range(pr + 1, len(a)):
+            f = a[i][pc] * inv % p
+            if f:
+                a[i][pc:] = [(e - f * q) % p for e, q in zip(a[i][pc:], piv)]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(a):
+            break
+    return pivots
+
+
 def row_basis(m: RatMatrix) -> list[RatMatrix]:
     """Basis of the row space, as 1xN matrices (rref rows)."""
     r, pivots = rref(m)
@@ -274,11 +313,18 @@ def random_invertible(dim: int, seed: int = 0, bound: int = 9) -> RatMatrix:
 
 def random_invertible_rng(dim: int, rng: random.Random,
                           bound: int = 9) -> RatMatrix:
+    """First invertible draw of ``random_matrix(dim, dim, rng, bound)``.
+
+    Full rank mod p proves invertibility; only a draw that is singular
+    mod p is ranked exactly, so the accepted draws are those of an exact
+    rank test.
+    """
     if dim == 0:
         return RatMatrix.zeros(0, 0)
     while True:
         m = random_matrix(dim, dim, rng, bound)
-        if rank(m) == dim:
+        rows = [[e.numerator for e in m.row(i)] for i in range(dim)]
+        if len(pivot_columns_mod_p(rows)) == dim or rank(m) == dim:
             return m
 
 

@@ -15,6 +15,7 @@ coordinate prefix.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,8 +26,8 @@ from .linalg import (
     SingularMatrix,
     invert,
     kernel_basis,
+    pivot_columns_mod_p,
     random_invertible_rng,
-    random_unit_upper_triangular,
     rank,
     rref,
     vstack,
@@ -315,6 +316,78 @@ def _candidates(r: int, n: int, seed: int, trials: int):
         yield BasisPair._unchecked(p, q)
 
 
+def _integer_rows(m: RatMatrix) -> list[list[int]]:
+    """Rows of ``m`` scaled by the lcm of its denominators."""
+    scale = math.lcm(*(e.denominator for e in m.entries()))
+    return [[e.numerator * (scale // e.denominator) for e in m.row(i)]
+            for i in range(m.rows)]
+
+
+def _exact_evaluator(tab: Tableau):
+    """Characters of a candidate and a thunk for its staircase check."""
+    def evaluate(bp: BasisPair):
+        bm, chars = _reduce(tab, bp)
+        return chars, lambda: _staircase_generic(bm, chars, tab.r)
+    return evaluate
+
+
+def _modular_evaluator(tab: Tableau):
+    """``_exact_evaluator``'s values from ranks mod p (lower bounds).
+
+    The spanning set is integerised once; a candidate (P, Q) costs the
+    integer products P pi Q and eliminations mod p.  The staircase
+    columns of the stacked matrix have the rank of those of its RREF.
+    """
+    r, n = tab.r, tab.n
+    span = [_integer_rows(m) for m in tab.span]
+
+    def evaluate(bp: BasisPair):
+        w = _integer_rows(bp.w_change)
+        v_cols = list(zip(*_integer_rows(bp.v_change)))
+        rows = []
+        for m in span:
+            wm = [[sum(x * y for x, y in zip(w_row, m_col))
+                   for m_col in zip(*m)] for w_row in w]
+            rows.append([sum(x * y for x, y in zip(wm[a], v_cols[i]))
+                         for i in range(n) for a in range(r)])
+        pivots = pivot_columns_mod_p(rows)
+        counts = [0] * n
+        for c in pivots:
+            counts[c // r] += 1
+        chars = tuple(counts)
+
+        def staircase():
+            cols = _staircase_positions(chars, r)
+            stair = pivot_columns_mod_p([[row[c] for c in cols]
+                                         for row in rows])
+            return len(stair) == len(pivots)
+        return chars, staircase
+    return evaluate
+
+
+def _search(candidates, evaluate, certified):
+    """(pair, characters, staircase flag, certified) of the selection rule.
+
+    The first candidate that is staircase-generic and ``certified``
+    ends the search; otherwise the first one with the lexicographically
+    maximal characters wins, a staircase-generic one preferred.
+    """
+    best: Optional[tuple] = None   # (chars, staircase_ok, basis)
+    for bp in candidates:
+        chars, staircase = evaluate(bp)
+        # a candidate that cannot replace the best one needs no staircase check
+        if best is not None and (chars < best[0]
+                                 or (chars == best[0] and best[1])):
+            continue
+        ok = staircase()
+        if ok and certified(chars):
+            return bp, chars, ok, True
+        if best is None or chars > best[0] or (ok and not best[1]):
+            best = (chars, ok, bp)
+    chars, ok, bp = best
+    return bp, chars, ok, False
+
+
 def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
                        dim_a1: Optional[int] = None,
                        ) -> tuple[BasisPair, CartanCharacters]:
@@ -326,31 +399,55 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
     sequence; among those, one passing the staircase-genericity rank
     checks is preferred.  Deterministic per seed.
 
+    Candidates are screened mod p = ``linalg.MODULUS``: the prefix
+    ranks R_1 <= ... <= R_n of a flag mod p are lower bounds on its
+    exact ones, which are bounded by the generic ones.  The characters
+    are s_k = R_k - R_{k-1}, ordered lexicographically as the R_k are.
+
     Certified early exit: every flag satisfies Cartan's inequality
-    ``dim A^(1) <= s_1 + 2 s_2 + ... + n s_n``, and its prefix ranks are
-    bounded by the generic ones.  So when ``dim_a1`` (``dim A^(1)``, from
-    ``prolongation_dimension``) is given, a staircase-generic candidate
-    whose bound equals it has the generic characters, the tableau is
-    involutive, and the search returns that candidate at once -- the
-    same pair the full search would return.  Without ``dim_a1``, or on a
-    non-involutive tableau, every candidate is visited and the
-    characters rest on the seeded search.
+    ``dim A^(1) <= s_1 + 2 s_2 + ... + n s_n``.  When ``dim_a1``
+    (``dim A^(1)``, from ``prolongation_dimension``) is given and a
+    candidate's total rank mod p is the exact ``dim A``, its mod-p bound
+    ``sum_{k<n} (R_n - R_k)`` is at least its exact bound, hence at
+    least the generic bound and ``dim A^(1)``.  Equality forces every
+    prefix rank mod p to be the exact, generic one, and a staircase
+    rank mod p of ``dim A`` is then exact too: the candidate has the
+    generic characters, the tableau is involutive, and it is returned
+    without exact elimination.  ``dim A`` is exact when the total rank
+    mod p equals the number of spanning matrices, else from ``tab.dim``.
+
+    Otherwise every candidate is visited, the characters rest on the
+    seeded search, and the winner is reduced exactly.  If its exact
+    characters or staircase flag differ from the mod-p ones, p divides
+    a minor the comparison read (an unlucky prime), and the search is
+    rerun with exact elimination.  So the returned characters are always
+    exact in the returned flag, and the pair is the exact search's
+    unless p divides a nonzero minor of another candidate, which no
+    lower bound can detect.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    best: Optional[tuple] = None   # (chars, staircase_ok, basis)
-    for bp in _candidates(tab.r, tab.n, seed, trials):
-        bm, chars = _reduce(tab, bp)
-        # a candidate that cannot replace the best one needs no staircase check
-        if best is not None and (chars < best[0]
-                                 or (chars == best[0] and best[1])):
-            continue
-        ok = _staircase_generic(bm, chars, tab.r)
-        if ok and CartanCharacters(chars).cartan_bound == dim_a1:
-            return bp, CartanCharacters(chars)
-        if best is None or chars > best[0] or (ok and not best[1]):
-            best = (chars, ok, bp)
-    chars, _, bp = best
+    dim_a = None   # tab.dim, computed at most once
+
+    def certified(chars):
+        nonlocal dim_a
+        if CartanCharacters(chars).cartan_bound != dim_a1:
+            return False
+        total = sum(chars)
+        if total == len(tab.span):    # rank mod p <= exact rank <= rows
+            return True
+        if dim_a is None:
+            dim_a = tab.dim
+        return total == dim_a
+
+    exact = _exact_evaluator(tab)
+    bp, chars, ok, done = _search(_candidates(tab.r, tab.n, seed, trials),
+                                  _modular_evaluator(tab), certified)
+    if not done:
+        exact_chars, staircase = exact(bp)
+        if (exact_chars, staircase()) != (chars, ok):
+            bp, chars, _, _ = _search(_candidates(tab.r, tab.n, seed, trials),
+                                      exact, certified)
     return bp, CartanCharacters(chars)
 
 

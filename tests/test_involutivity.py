@@ -165,7 +165,6 @@ class TestEndovolutiveSearch:
         assert is_endovolutive(pres)[0]
 
     def test_recovers_after_row_permutation(self):
-        rng = random.Random(9)
         tab = tableau_from_coefficients(make_321(Q4=1, Q5=2, T1=1, T2=1))
         perm = [1, 2, 0]
         rows = [[Fraction(int(perm[i] == j)) for j in range(3)]
@@ -173,7 +172,7 @@ class TestEndovolutiveSearch:
         w = RatMatrix.from_rows(rows)
         scrambled = Tableau(3, 3, [w @ m for m in tab.span])
         basis, chars = find_generic_basis(scrambled, seed=1)
-        found = search_endovolutive_basis(scrambled, basis, seed=rng.randint(0, 99))
+        found = search_endovolutive_basis(scrambled, basis)
         assert found is not None
         _, pres = found
         assert is_endovolutive(pres)[0]

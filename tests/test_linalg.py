@@ -16,6 +16,8 @@ from involutive.linalg import (
     kernel_basis,
     parse_rational,
     random_invertible,
+    random_invertible_rng,
+    random_matrix,
     random_unit_upper_triangular,
     rank,
     row_basis,
@@ -114,6 +116,54 @@ class TestRandom:
         b = random_invertible(3, seed=1, bound=5)
         assert a == b
         assert rank(a) == 3
+
+    @pytest.mark.parametrize("modulus", [None, 3])
+    def test_random_invertible_draws_match_exact_rank(self, modulus,
+                                                      monkeypatch):
+        # reference: the draw loop deciding invertibility by an exact
+        # rank; bound 1 draws many singular matrices, and modulus 3
+        # makes the mod-p test reject invertible ones too
+        import random
+        from involutive import linalg
+
+        singular = []
+
+        def reference(dim, rng, bound):
+            while True:
+                m = random_matrix(dim, dim, rng, bound)
+                if rank(m) == dim:
+                    return m, rng.getstate()
+                singular.append(m)
+
+        if modulus is not None:
+            monkeypatch.setattr(linalg, "MODULUS", modulus)
+        rejected = 0
+        for bound in (1, 2, 9):
+            for dim in range(1, 6):
+                for seed in range(40):
+                    rng = random.Random(seed)
+                    m = random_invertible_rng(dim, rng, bound)
+                    ref, state = reference(dim, random.Random(seed), bound)
+                    assert m == ref and rng.getstate() == state
+                    ints = [[int(e) for e in row] for row in m.row_list()]
+                    rejected += (linalg.pivot_columns_mod_p(ints)
+                                 != list(range(dim)))
+        assert singular and bool(rejected) == (modulus is not None)
+
+    def test_pivot_columns_mod_p_bound_the_exact_ones(self):
+        import random
+        from involutive import linalg
+        rng = random.Random(4)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 7)
+            m = random_matrix(rows, cols, rng, bound=3)
+            ints = [[int(e) for e in row] for row in m.row_list()]
+            exact = rref(m)[1]
+            assert linalg.pivot_columns_mod_p(ints) == exact
+            for k in range(cols + 1):
+                prefix = [row[:k] for row in ints]
+                assert (len(linalg.pivot_columns_mod_p(prefix))
+                        == len([c for c in exact if c < k]))
 
     def test_unit_upper_triangular(self):
         import random

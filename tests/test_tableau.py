@@ -20,6 +20,7 @@ from involutive import (
 from involutive import prolongation_dimension, rank, rref
 from involutive.linalg import random_invertible_rng, random_unit_upper_triangular
 from involutive.moduli import coefficient_variables, presentation_from_assignment
+from involutive import linalg as linalg_mod
 from involutive import tableau as tableau_mod
 from involutive.tableau import (
     InvalidBasis,
@@ -332,6 +333,84 @@ class TestGenericBasisSearch:
         assert chars.s == (3, 1, 0) and calls == []
         find_generic_basis(tab)
         assert len(calls) == 2 * 32
+
+    def test_certified_exit_reduces_nothing_exactly(self, monkeypatch):
+        tab = tableau_from_coefficients(make_310(T2=2, R3=2, Q=1))
+        cases = [
+            tab,
+            # rows reversed: the identity flag is not staircase-generic,
+            # so a later candidate is certified
+            Tableau(3, 3, [RatMatrix.from_rows(m.row_list()[::-1])
+                           for m in tab.span]),
+            # a redundant spanning set: dim A comes from tab.dim
+            Tableau(3, 3, tab.span + (tab.span[0].scale(Fraction(-1, 2)),)),
+        ]
+        expected = [(prolongation_dimension(t)[0],
+                     _reference_search(t, seed=0, trials=32)) for t in cases]
+        assert expected[1][1][0] != BasisPair.identity(3, 3)
+
+        def refuse(*args):
+            raise AssertionError("exact reduction in a certified search")
+
+        monkeypatch.setattr(tableau_mod, "_reduce", refuse)
+        for t, (dim_a1, ref) in zip(cases, expected):
+            bp, chars = find_generic_basis(t, dim_a1=dim_a1)
+            assert chars.cartan_bound == dim_a1
+            assert (bp, chars.s) == ref
+
+    def test_total_rank_drop_cannot_certify(self, monkeypatch):
+        # column 2 = B column 1 with B = [[1/3, 1/3], [0, 0]]: characters
+        # (2, 0), involutive.  Integerised, both spanning matrices are
+        # [[0, 1], [0, 0]] mod 3, so every flag has rank 1 mod 3; in the
+        # identity flag the mod-3 characters (0, 1) have the bound
+        # 2 = dim A^(1), but their total rank 1 is not dim A.
+        tab = Tableau(2, 2, [RatMatrix.from_rows([[1, Fraction(1, 3)], [0, 0]]),
+                             RatMatrix.from_rows([[0, Fraction(1, 3)], [1, 0]])])
+        dim_a1, _ = prolongation_dimension(tab)
+        assert dim_a1 == 2
+        monkeypatch.setattr(linalg_mod, "MODULUS", 3)
+        for a1 in (None, dim_a1):
+            bp, chars = find_generic_basis(tab, dim_a1=a1)
+            assert (bp, chars.s) == (BasisPair.identity(2, 2), (2, 0))
+
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_results_stay_exact_under_a_tiny_modulus(self, scramble,
+                                                     monkeypatch):
+        # Mod 3, ranks of the candidates really drop.  The returned
+        # characters are still those of the returned flag, certified
+        # ones are the generic characters, and where no candidate's
+        # values drop the pair is the exact search's.  A mod-p lower
+        # bound cannot show that another candidate is worse, so a prime
+        # that drops them may select another pair (see find_generic_basis).
+        monkeypatch.setattr(linalg_mod, "MODULUS", 3)
+        reruns = []
+        search = tableau_mod._search
+
+        def recording(candidates, evaluate, certified):
+            reruns.append("_exact_" in evaluate.__qualname__)
+            return search(candidates, evaluate, certified)
+
+        monkeypatch.setattr(tableau_mod, "_search", recording)
+        seen = set()
+        for k, tab in enumerate(_corpus(7, 40, scramble)):
+            expected = _reference_search(tab, seed=k, trials=6)
+            modular = tableau_mod._modular_evaluator(tab)
+            exact = tableau_mod._exact_evaluator(tab)
+            no_drop = True
+            for bp in tableau_mod._candidates(tab.r, tab.n, k, 6):
+                (c_p, ok_p), (c, ok) = modular(bp), exact(bp)
+                no_drop = no_drop and (c_p, ok_p()) == (c, ok())
+            seen.add(no_drop)
+            dim_a1, _ = prolongation_dimension(tab)
+            for a1 in (None, dim_a1):
+                bp, chars = find_generic_basis(tab, seed=k, trials=6,
+                                               dim_a1=a1)
+                assert characters_in_basis(tab, bp) == chars
+                if chars.cartan_bound == a1:
+                    assert chars.s == expected[1]
+                if no_drop:
+                    assert (bp, chars.s) == expected
+        assert seen == {True, False} and any(reruns)
 
     def test_user_basis_pairs_are_validated(self):
         singular = RatMatrix.from_rows([[1, 2], [2, 4]])
