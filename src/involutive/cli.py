@@ -31,11 +31,10 @@ from .guillemin import (
 )
 from .involutivity import (
     InvolutivityReport,
+    _search_endovolutive,
     build_b_array,
     cartan_test,
-    find_generic_basis,
     prolongation_dimension,
-    search_endovolutive_basis,
 )
 from .linalg import format_rational, parse_rational
 from .moduli import (
@@ -44,7 +43,7 @@ from .moduli import (
     export_ideal,
     sample_involutive,
 )
-from .tableau import CartanCharacters
+from .tableau import CartanCharacters, _find_generic_basis
 
 
 def _usage_error(message: str):
@@ -86,11 +85,12 @@ def _certified_line(certified: bool) -> str:
 
 
 def _generic_basis(tab, args):
-    """Generic basis pair and characters, certified by dim A^(1) when it can."""
+    """Generic basis pair and characters, certified by dim A^(1) when it
+    can, and the pair's exact reduction when the search made one."""
     dim_a1, _ = prolongation_dimension(tab)
-    basis, chars = find_generic_basis(tab, seed=args.seed, trials=args.trials,
-                                      dim_a1=dim_a1)
-    return basis, chars, dim_a1 == chars.cartan_bound
+    basis, chars, reduced = _find_generic_basis(tab, args.seed, args.trials,
+                                                dim_a1)
+    return basis, chars, dim_a1 == chars.cartan_bound, reduced
 
 
 def report_to_dict(report: InvolutivityReport) -> dict:
@@ -124,7 +124,7 @@ def report_to_dict(report: InvolutivityReport) -> dict:
 def cmd_characters(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
-    basis, chars, certified = _generic_basis(tab, args)
+    basis, chars, certified, _ = _generic_basis(tab, args)
     print(f"characters: {' '.join(str(x) for x in chars.s)}")
     print(_certified_line(certified))
     print(f"dim A = {chars.dim}")
@@ -171,8 +171,8 @@ def cmd_analyze(args) -> int:
 def cmd_gnf(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
-    basis, chars, certified = _generic_basis(tab, args)
-    found = search_endovolutive_basis(tab, basis)
+    basis, chars, certified, reduced = _generic_basis(tab, args)
+    found = _search_endovolutive(tab, basis, reduced)
     if found is None:
         print("endovolutive search inconclusive; normal form unavailable")
         return 2

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import RatMatrix, invert, kernel_basis, rank, row_basis
+from .linalg import RatMatrix, invert, rank, row_basis
 from .tableau import (
     BasisPair,
     CartanCharacters,
     NonGenericBasis,
     SymbolPresentation,
     Tableau,
+    _find_generic_basis,
     _reduce,
     extract_symbol_coefficients,
     find_generic_basis,
@@ -103,8 +104,8 @@ def build_b_array(p: SymbolPresentation) -> BArray:
     """Assemble the B-array, inserting identities on diagonal blocks."""
     grid = staircase_blocks(p.characters, p.r, p.coefficient, Fraction(1))
     return BArray(p.r, p.characters,
-                  tuple(tuple(RatMatrix.from_rows(m) for m in row)
-                        for row in grid))
+                  tuple([tuple([RatMatrix.from_rows(m) for m in row])
+                         for row in grid]))
 
 
 def is_endovolutive(p: SymbolPresentation):
@@ -154,6 +155,44 @@ def _add(x: list, y: list) -> list:
     return [[p + q for p, q in zip(u, v)] for u, v in zip(x, y)]
 
 
+def _accumulate(terms: dict, key, mat: list):
+    cur = terms.get(key)
+    terms[key] = mat if cur is None else _add(cur, mat)
+
+
+# The two helpers below recurse into each other and share
+# ctx = (s, r, ell, rows, memo), passed explicitly: nested closures
+# would refer to each other through their cells, a reference cycle that
+# keeps each call's memo alive until a full garbage collection.
+
+def _expand(ctx: tuple, i: int, j: int) -> dict:
+    """Raw combination of generators for the (i, j) wedge term."""
+    s, r, ell, rows, _ = ctx
+    terms: dict[tuple[int, int], list] = {}
+    for mu in range(i, min(j, ell) + 1):
+        if s[mu - 1] > 0:
+            # B^mu_j restricted to its first s_mu columns
+            _accumulate(terms, (mu, i),
+                        [row[:s[mu - 1]] + [0] * (r - s[mu - 1])
+                         for row in rows[(mu, j)]])
+    for lam in range(1, min(i, ell + 1)):
+        for key, mat in _reduce_z(ctx, lam, i).items():
+            _accumulate(terms, key, _matmul(rows[(lam, j)], mat))
+        for key, mat in _reduce_z(ctx, lam, j).items():
+            _accumulate(terms, key, [[-v for v in row] for row in
+                                     _matmul(rows[(lam, i)], mat)])
+    return terms
+
+
+def _reduce_z(ctx: tuple, i: int, j: int) -> dict:
+    """Z_{i,j} (rows a <= s_i) in terms of the free generators."""
+    s, r, _, _, memo = ctx
+    if (i, j) not in memo:
+        memo[(i, j)] = {k: m[:s[i - 1]] + _zero_rows(r - s[i - 1], r)
+                        for k, m in _expand(ctx, i, j).items()}
+    return memo[(i, j)]
+
+
 def reduced_conditions(barr: BArray) -> dict:
     """Exact involutivity conditions per free prolongation generator.
 
@@ -180,40 +219,12 @@ def reduced_conditions(barr: BArray) -> dict:
     rows = {(lam, i): (barr.block(lam, i).row_list() if numeric
                        else barr.block(lam, i))
             for lam in range(1, ell + 1) for i in range(lam, n + 1)}
-    memo: dict[tuple[int, int], dict] = {}
-
-    def accumulate(terms, key, mat):
-        cur = terms.get(key)
-        terms[key] = mat if cur is None else _add(cur, mat)
-
-    def expand(i, j):
-        """Raw combination of generators for the (i, j) wedge term."""
-        terms: dict[tuple[int, int], list] = {}
-        for mu in range(i, min(j, ell) + 1):
-            if s[mu - 1] > 0:
-                # B^mu_j restricted to its first s_mu columns
-                accumulate(terms, (mu, i),
-                           [row[:s[mu - 1]] + [0] * (r - s[mu - 1])
-                            for row in rows[(mu, j)]])
-        for lam in range(1, min(i, ell + 1)):
-            for key, mat in reduce_z(lam, i).items():
-                accumulate(terms, key, _matmul(rows[(lam, j)], mat))
-            for key, mat in reduce_z(lam, j).items():
-                accumulate(terms, key, [[-v for v in row] for row in
-                                        _matmul(rows[(lam, i)], mat)])
-        return terms
-
-    def reduce_z(i, j):
-        """Z_{i,j} (rows a <= s_i) in terms of the free generators."""
-        if (i, j) not in memo:
-            memo[(i, j)] = {k: m[:s[i - 1]] + _zero_rows(r - s[i - 1], r)
-                            for k, m in expand(i, j).items()}
-        return memo[(i, j)]
+    ctx = (s, r, ell, rows, {})
 
     out = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for (mu, lam), mat in expand(i, j).items():
+            for (mu, lam), mat in _expand(ctx, i, j).items():
                 # negated so the leading term reads
                 # B^lam_i B^mu_j - B^lam_j B^mu_i
                 below = [[-v for v in row] for row in mat[s[i - 1]:]]
@@ -294,8 +305,12 @@ def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
     """Look for a W-basis making the presentation endovolutive.
 
     For each lam, project the elements whose first lam-1 columns vanish
-    onto column lam; when these spaces have dimensions s_lam and form a
-    nested flag, a W-basis adapted to the flag is the unique candidate.
+    onto column lam; when these spaces form a nested flag, a W-basis
+    adapted to the flag is the unique candidate.  The spaces are read
+    off the reduced row echelon form of A in ``basis``: the elements
+    vanishing on columns < lam are spanned by its rows pivoting in
+    column lam or later, and the rows pivoting in column lam project to
+    an echelon basis of the lam-th space, of dimension s_lam.
 
     Returns None when inconclusive; that is not a proof of
     non-existence.  Retrying in another V* flag would not help: given
@@ -306,7 +321,15 @@ def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
     random retry only a small chance (none succeeded in 799 measured
     runs).
     """
-    bm, counts = _reduce(tab, basis)
+    return _search_endovolutive(tab, basis, None)
+
+
+def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
+                         ) -> Optional[tuple[BasisPair, SymbolPresentation]]:
+    """``search_endovolutive_basis``, reusing ``reduced`` when it is the
+    ``_reduce(tab, basis)`` already made (as ``_find_generic_basis``
+    returns it) and reducing otherwise."""
+    bm, counts = reduced if reduced is not None else _reduce(tab, basis)
     chars = CartanCharacters(counts)
     if not chars.is_weakly_decreasing():
         return None
@@ -314,39 +337,24 @@ def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
     if ell == 0:
         return basis, SymbolPresentation(r, chars, {})
 
-    # Column-lam projection of the elements vanishing in columns < lam.
+    # Column-lam block of the rows pivoting in column lam: in an RREF
+    # every pivot column is a unit vector, so these are already reduced.
     flag = []
+    top = 0
     for lam in range(1, ell + 1):
-        if lam == 1:
-            combos = [RatMatrix.column([Fraction(int(i == p))
-                                        for i in range(bm.rows)])
-                      for p in range(bm.rows)]
-        else:
-            prefix = bm.select_columns(range((lam - 1) * r)).transpose()
-            combos = kernel_basis(prefix)
-        vecs = []
-        for c in combos:
-            elem = c.transpose() @ bm
-            vecs.append([elem[0, (lam - 1) * r + a] for a in range(r)])
-        if not vecs:
-            return None
-        w = RatMatrix.from_rows(vecs)
-        wb = row_basis(w)
-        if len(wb) != s[lam - 1]:
-            return None
-        flag.append(wb)
+        flag.append([bm.row(i)[(lam - 1) * r:lam * r]
+                     for i in range(top, top + s[lam - 1])])
+        top += s[lam - 1]
 
     # Nesting check, then a W-basis with first s_lam vectors spanning
     # the lam-th flag space.
     for lam in range(1, ell):
-        stacked = RatMatrix.from_rows(
-            [list(v.entries()) for v in flag[lam - 1] + flag[lam]])
-        if rank(stacked) != s[lam - 1]:
+        if rank(RatMatrix.from_rows(flag[lam - 1] + flag[lam])) != s[lam - 1]:
             return None
-    adapted: list[list[Fraction]] = []
+    adapted: list = []
     for lam in range(ell, 0, -1):
         for v in flag[lam - 1]:
-            cand = adapted + [list(v.entries())]
+            cand = adapted + [v]
             if rank(RatMatrix.from_rows(cand)) == len(cand):
                 adapted = cand
     for a in range(r):
@@ -411,8 +419,7 @@ def cartan_test(tab: Tableau, seed: int = 0, trials: int = 32,
     at the first candidate it certifies.
     """
     dim_a1, dim_h2 = prolongation_dimension(tab)
-    basis, chars = find_generic_basis(tab, seed=seed, trials=trials,
-                                      dim_a1=dim_a1)
+    basis, chars, reduced = _find_generic_basis(tab, seed, trials, dim_a1)
     dim_a = chars.dim
     bound = chars.cartan_bound
     violations: list[QuadraticViolation] = []
@@ -422,7 +429,7 @@ def cartan_test(tab: Tableau, seed: int = 0, trials: int = 32,
     if dim_a == 0:
         endovolutive = True
     else:
-        found = search_endovolutive_basis(tab, basis)
+        found = _search_endovolutive(tab, basis, reduced)
         if found is None:
             endovolutive = False
             inconclusive = True

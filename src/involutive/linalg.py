@@ -2,21 +2,26 @@
 
 Everything downstream (characters, prolongations, the quadratic
 criterion) reduces to rank / kernel / solve questions, and those are
-only well-posed in exact arithmetic.  Scalars are ``fractions.Fraction``
-throughout; matrices are immutable and row-major.
+only well-posed in exact arithmetic.  Matrices are immutable, row-major
+and hold ``fractions.Fraction`` entries; ``rref`` and the products work
+over them.
 
 Matrices here are desk-scale (a few hundred entries), so plain Gaussian
 elimination with exact pivoting is adequate.
 
-One routine, ``pivot_columns_mod_p``, eliminates integer matrices
-modulo the prime ``MODULUS`` instead.  A rank mod p is at most the rank
-over Q, so its results are read only as lower bounds: to screen
-candidates in the generic-basis search and to accept a random matrix
-as invertible.  Every reported rank and verdict is exact.
+Ranks need no rationals: ``rank`` scales each row to integers and
+eliminates by cross-multiplication, dividing each new row by the gcd of
+its entries (fraction-free elimination, after Bareiss 1968).  The same
+loop, run modulo the prime ``MODULUS``, is ``pivot_columns_mod_p``.
+A rank mod p is at most the rank over Q, so its results are read only
+as lower bounds: to screen candidates in the generic-basis search and
+to accept a random matrix as invertible.  Every reported rank and
+verdict is exact.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,7 +49,11 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = tuple(Fraction(e) for e in entries)
+        # From a list: tuple() of a generator grows the tuple by
+        # reallocation, which takes nothing from the interpreter's tuple
+        # free lists but gives the tuple back to them when it is freed,
+        # so they fill (to 2000 tuples per size) until a full collection.
+        data = tuple([Fraction(e) for e in entries])
         if len(data) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(data)}")
@@ -208,8 +217,55 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     return RatMatrix.from_rows(a) if rows else m, pivots
 
 
+def _pivot_columns(a: list[list[int]], p: int) -> list[int]:
+    """Pivot columns of the integer rows ``a``, which are overwritten.
+
+    Forward elimination by cross-multiplication: a row below the pivot
+    row becomes d * row - f * pivot_row, where d is the pivot and f the
+    row's entry in the pivot column.  With ``p`` nonzero every entry is
+    reduced mod p (``a`` must already be); with ``p == 0`` the new row is
+    divided by the gcd of its entries.  Neither changes the row space
+    over the field the loop works in.
+    """
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(len(a[0]) if a else 0):
+        found = next((i for i in range(pr, len(a)) if a[i][pc]), -1)
+        if found < 0:
+            continue
+        a[pr], a[found] = a[found], a[pr]
+        d, piv = a[pr][pc], a[pr][pc + 1:]
+        for i in range(pr + 1, len(a)):
+            f = a[i][pc]
+            if not f:
+                continue
+            # columns up to pc are never read again
+            if p:
+                a[i][pc + 1:] = [(d * e - f * q) % p
+                                 for e, q in zip(a[i][pc + 1:], piv)]
+            else:
+                row = [d * e - f * q for e, q in zip(a[i][pc + 1:], piv)]
+                g = math.gcd(*row)
+                a[i][pc + 1:] = [e // g for e in row] if g > 1 else row
+        pivots.append(pc)
+        pr += 1
+        if pr == len(a):
+            break
+    return pivots
+
+
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    """Exact rank, by fraction-free elimination over Z.
+
+    Each row is scaled by the lcm of its own denominators, which keeps
+    the rank.
+    """
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        scale = math.lcm(*[e.denominator for e in row])
+        rows.append([e.numerator * (scale // e.denominator) for e in row])
+    return len(_pivot_columns(rows, 0))
 
 
 MODULUS = 2 ** 61 - 1
@@ -224,25 +280,7 @@ def pivot_columns_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
     a smaller one proves nothing.
     """
     p = MODULUS
-    a = [[e % p for e in row] for row in rows]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(len(a[0]) if a else 0):
-        found = next((i for i in range(pr, len(a)) if a[i][pc]), -1)
-        if found < 0:
-            continue
-        a[pr], a[found] = a[found], a[pr]
-        piv = a[pr][pc:]
-        inv = pow(piv[0], -1, p)
-        for i in range(pr + 1, len(a)):
-            f = a[i][pc] * inv % p
-            if f:
-                a[i][pc:] = [(e - f * q) % p for e, q in zip(a[i][pc:], piv)]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(a):
-            break
-    return pivots
+    return _pivot_columns([[e % p for e in row] for row in rows], p)
 
 
 def row_basis(m: RatMatrix) -> list[RatMatrix]:
@@ -322,10 +360,12 @@ def random_invertible_rng(dim: int, rng: random.Random,
     if dim == 0:
         return RatMatrix.zeros(0, 0)
     while True:
-        m = random_matrix(dim, dim, rng, bound)
-        rows = [[e.numerator for e in m.row(i)] for i in range(dim)]
-        if len(pivot_columns_mod_p(rows)) == dim or rank(m) == dim:
-            return m
+        # random_matrix's draws, kept as ints until one is accepted
+        rows = [[rng.randint(-bound, bound) for _ in range(dim)]
+                for _ in range(dim)]
+        if (len(pivot_columns_mod_p(rows)) == dim
+                or len(_pivot_columns([row[:] for row in rows], 0)) == dim):
+            return RatMatrix(dim, dim, [e for row in rows for e in row])
 
 
 def random_unit_upper_triangular(dim: int, rng: random.Random,

@@ -59,7 +59,7 @@ class CartanCharacters:
     def __post_init__(self):
         if any(x < 0 for x in self.s):
             raise ValueError("characters must be non-negative")
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
+        object.__setattr__(self, "s", tuple([int(x) for x in self.s]))
 
     @property
     def n(self) -> int:
@@ -318,7 +318,7 @@ def _candidates(r: int, n: int, seed: int, trials: int):
 
 def _integer_rows(m: RatMatrix) -> list[list[int]]:
     """Rows of ``m`` scaled by the lcm of its denominators."""
-    scale = math.lcm(*(e.denominator for e in m.entries()))
+    scale = math.lcm(*[e.denominator for e in m.entries()])
     return [[e.numerator * (scale // e.denominator) for e in m.row(i)]
             for i in range(m.rows)]
 
@@ -334,32 +334,35 @@ def _exact_evaluator(tab: Tableau):
 def _modular_evaluator(tab: Tableau):
     """``_exact_evaluator``'s values from ranks mod p (lower bounds).
 
-    The spanning set is integerised once; a candidate (P, Q) costs the
-    integer products P pi Q and eliminations mod p.  The staircase
-    columns of the stacked matrix have the rank of those of its RREF.
+    The spanning set is integerised once.  The characters of (P, Q) are
+    those of (I, Q): pi -> P pi is invertible on every column prefix.  So
+    a candidate costs the integer products pi Q and one elimination mod
+    p, which is never below that of P pi Q; only the staircase check,
+    run for candidates that can replace the best one, forms P (pi Q) on
+    the staircase slots.  The staircase columns of the stacked matrix
+    have the rank of those of its RREF.
     """
     r, n = tab.r, tab.n
     span = [_integer_rows(m) for m in tab.span]
 
     def evaluate(bp: BasisPair):
-        w = _integer_rows(bp.w_change)
         v_cols = list(zip(*_integer_rows(bp.v_change)))
-        rows = []
-        for m in span:
-            wm = [[sum(x * y for x, y in zip(w_row, m_col))
-                   for m_col in zip(*m)] for w_row in w]
-            rows.append([sum(x * y for x, y in zip(wm[a], v_cols[i]))
-                         for i in range(n) for a in range(r)])
-        pivots = pivot_columns_mod_p(rows)
+        # columns of pi Q for each spanning matrix pi
+        prods = [[[sum(x * y for x, y in zip(m_row, v_col)) for m_row in m]
+                  for v_col in v_cols] for m in span]
+        pivots = pivot_columns_mod_p([[e for col in cols for e in col]
+                                      for cols in prods])
         counts = [0] * n
         for c in pivots:
             counts[c // r] += 1
         chars = tuple(counts)
 
         def staircase():
-            cols = _staircase_positions(chars, r)
-            stair = pivot_columns_mod_p([[row[c] for c in cols]
-                                         for row in rows])
+            w = _integer_rows(bp.w_change)
+            stair = pivot_columns_mod_p(
+                [[sum(x * y for x, y in zip(w[b], cols[lam]))
+                  for lam in range(n) for b in range(chars[lam])]
+                 for cols in prods])
             return len(stair) == len(pivots)
         return chars, staircase
     return evaluate
@@ -403,6 +406,8 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
     ranks R_1 <= ... <= R_n of a flag mod p are lower bounds on its
     exact ones, which are bounded by the generic ones.  The characters
     are s_k = R_k - R_{k-1}, ordered lexicographically as the R_k are.
+    A W change does not move them, so they are ranked on pi Q for a
+    candidate (P, Q), and P enters only the staircase check.
 
     Certified early exit: every flag satisfies Cartan's inequality
     ``dim A^(1) <= s_1 + 2 s_2 + ... + n s_n``.  When ``dim_a1``
@@ -425,6 +430,15 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
     unless p divides a nonzero minor of another candidate, which no
     lower bound can detect.
     """
+    bp, chars, _ = _find_generic_basis(tab, seed, trials, dim_a1)
+    return bp, chars
+
+
+def _find_generic_basis(tab: Tableau, seed: int, trials: int,
+                        dim_a1: Optional[int]):
+    """``find_generic_basis``'s pair and characters, and the ``_reduce``
+    of the pair that verified them (None when no exact reduction of the
+    returned pair was made)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dim_a = None   # tab.dim, computed at most once
@@ -440,15 +454,18 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
             dim_a = tab.dim
         return total == dim_a
 
-    exact = _exact_evaluator(tab)
     bp, chars, ok, done = _search(_candidates(tab.r, tab.n, seed, trials),
                                   _modular_evaluator(tab), certified)
+    reduced = None
     if not done:
-        exact_chars, staircase = exact(bp)
-        if (exact_chars, staircase()) != (chars, ok):
+        reduced = _reduce(tab, bp)
+        bm, exact_chars = reduced
+        exact_ok = _staircase_generic(bm, exact_chars, tab.r)
+        if (exact_chars, exact_ok) != (chars, ok):
             bp, chars, _, _ = _search(_candidates(tab.r, tab.n, seed, trials),
-                                      exact, certified)
-    return bp, CartanCharacters(chars)
+                                      _exact_evaluator(tab), certified)
+            reduced = None
+    return bp, CartanCharacters(chars), reduced
 
 
 def extract_symbol_coefficients(tab: Tableau,

@@ -1,5 +1,6 @@
 """B-arrays, the quadratic criterion, the oracle, and Cartan's test."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -21,10 +22,19 @@ from involutive import (
     search_endovolutive_basis,
     tableau_from_coefficients,
 )
+from involutive import involutivity as involutivity_mod
+from involutive import tableau as tableau_mod
 from involutive.involutivity import NotEndovolutive, find_generic_basis
-from involutive.linalg import random_unit_upper_triangular
+from involutive.linalg import (
+    invert,
+    kernel_basis,
+    random_unit_upper_triangular,
+    row_basis,
+    rref,
+)
 from involutive.moduli import coefficient_variables, presentation_from_assignment
-from conftest import make_310, make_321
+from involutive.tableau import NonGenericBasis, _reduce
+from conftest import make_310, make_321, staircase_corpus
 
 
 def random_staircase(rng, n_max=4, r_max=5):
@@ -112,6 +122,16 @@ class TestQuadraticCriterion:
             p = quadratic_criterion(barr, "proof")
             assert bool(t) == bool(p)
 
+    def test_reduced_conditions_leave_no_garbage(self):
+        barr = build_b_array(make_321(P1=2, Q4=1, R1=1, T2=3))
+        gc.collect()
+        gc.disable()
+        try:
+            assert reduced_conditions(barr)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_reduced_conditions_leading_term(self):
         # With a single dependent column pair the coefficient is exactly
         # the commutator B^lam_i B^mu_j - B^lam_j B^mu_i.
@@ -156,7 +176,103 @@ class TestProlongationOracle:
             assert dim_a1 == chars.cartan_bound
 
 
+def _rref_rank(m):
+    return len(rref(m)[1])
+
+
+def _reference_endovolutive(tab, basis):
+    """The search with its flag from kernels: for each lam, the elements
+    vanishing on columns < lam are combinations from the kernel of the
+    transposed column prefix, projected onto column lam."""
+    bm, counts = _reduce(tab, basis)
+    chars = CartanCharacters(counts)
+    if not chars.is_weakly_decreasing():
+        return None
+    s, r, ell = chars.s, tab.r, chars.ell
+    if ell == 0:
+        return basis, SymbolPresentation(r, chars, {})
+    flag = []
+    for lam in range(1, ell + 1):
+        if lam == 1:
+            combos = [RatMatrix.column([Fraction(int(i == p))
+                                        for i in range(bm.rows)])
+                      for p in range(bm.rows)]
+        else:
+            prefix = bm.select_columns(range((lam - 1) * r)).transpose()
+            combos = kernel_basis(prefix)
+        vecs = []
+        for c in combos:
+            elem = c.transpose() @ bm
+            vecs.append([elem[0, (lam - 1) * r + a] for a in range(r)])
+        if not vecs:
+            return None
+        wb = row_basis(RatMatrix.from_rows(vecs))
+        if len(wb) != s[lam - 1]:
+            return None
+        flag.append(wb)
+    for lam in range(1, ell):
+        stacked = RatMatrix.from_rows(
+            [list(v.entries()) for v in flag[lam - 1] + flag[lam]])
+        if _rref_rank(stacked) != s[lam - 1]:
+            return None
+    adapted = []
+    for lam in range(ell, 0, -1):
+        for v in flag[lam - 1]:
+            cand = adapted + [list(v.entries())]
+            if _rref_rank(RatMatrix.from_rows(cand)) == len(cand):
+                adapted = cand
+    for a in range(r):
+        if len(adapted) == r:
+            break
+        cand = adapted + [[Fraction(int(i == a)) for i in range(r)]]
+        if _rref_rank(RatMatrix.from_rows(cand)) == len(cand):
+            adapted = cand
+    w_new = invert(RatMatrix.from_rows(adapted).transpose())
+    bp = BasisPair(w_new @ basis.w_change, basis.v_change)
+    try:
+        pres = extract_symbol_coefficients(tab, bp)
+    except NonGenericBasis:
+        return None
+    return (bp, pres) if is_endovolutive(pres)[0] else None
+
+
 class TestEndovolutiveSearch:
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_flag_from_rref_matches_kernel_reference(self, scramble):
+        outcomes = set()
+        for k, tab in enumerate(staircase_corpus(11, 12, scramble)):
+            basis, _ = find_generic_basis(tab, seed=k, trials=6)
+            for bp in (BasisPair.identity(tab.r, tab.n), basis):
+                found = search_endovolutive_basis(tab, bp)
+                assert found == _reference_endovolutive(tab, bp)
+                outcomes.add(found is None)
+        assert outcomes == {True, False}
+
+    def test_one_exact_reduction_of_the_chosen_pair(self, monkeypatch):
+        # the generic-basis search hands its verified reduction of the
+        # winner on; the only other reduction is of the adapted basis
+        calls = []
+
+        def counting(tab, basis):
+            calls.append(basis)
+            return _reduce(tab, basis)
+
+        monkeypatch.setattr(tableau_mod, "_reduce", counting)
+        monkeypatch.setattr(involutivity_mod, "_reduce", counting)
+        uncertified = 0
+        for scramble in (None, "rows", "random"):
+            for k, tab in enumerate(staircase_corpus(13, 20, scramble)):
+                calls.clear()
+                rep = cartan_test(tab, seed=k, trials=6)
+                uncertified += not rep.characters_certified
+                if rep.dim_A == 0:
+                    assert calls == []
+                elif rep.endo_basis is not None:
+                    assert calls == [rep.basis, rep.endo_basis]
+                else:
+                    assert calls[0] == rep.basis and len(calls) <= 2
+        assert uncertified
+
     def test_already_endovolutive(self):
         tab = tableau_from_coefficients(make_321(P1=2, Q4=1))
         found = search_endovolutive_basis(tab, BasisPair.identity(3, 3))

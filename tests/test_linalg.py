@@ -131,7 +131,7 @@ class TestRandom:
         def reference(dim, rng, bound):
             while True:
                 m = random_matrix(dim, dim, rng, bound)
-                if rank(m) == dim:
+                if len(rref(m)[1]) == dim:
                     return m, rng.getstate()
                 singular.append(m)
 
@@ -164,6 +164,41 @@ class TestRandom:
                 prefix = [row[:k] for row in ints]
                 assert (len(linalg.pivot_columns_mod_p(prefix))
                         == len([c for c in exact if c < k]))
+
+    def test_integer_rank_matches_rref(self):
+        # rank eliminates over Z after scaling each row to integers;
+        # pivot_columns_mod_p is the same loop mod p, fed those rows
+        import math
+        import random
+        from involutive import linalg
+        rng = random.Random(12)
+        cases = [RatMatrix(0, 3, []), RatMatrix(3, 0, []), RatMatrix(0, 0, [])]
+        for _ in range(300):
+            rows, inner, cols = (rng.randint(1, 6), rng.randint(1, 6),
+                                 rng.randint(1, 7))
+            entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(rows * inner)]
+            m = RatMatrix(rows, inner, entries) @ random_matrix(
+                inner, cols, rng, bound=3)
+            zero = rng.randrange(rows + 1)    # == rows: no zero row
+            if zero < rows:
+                m = vstack([m.submatrix(range(zero), range(cols)),
+                            RatMatrix.zeros(1, cols),
+                            m.submatrix(range(zero, rows), range(cols))])
+            cases.append(m)
+        ranks = set()
+        for m in cases:
+            exact = rref(m)[1]
+            assert rank(m) == len(exact)
+            ints = []
+            for row in m.row_list():
+                scale = math.lcm(*(e.denominator for e in row))
+                ints.append([int(e * scale) for e in row])
+            assert linalg.pivot_columns_mod_p(ints) == exact
+            ranks.add((len(exact) == min(m.rows, m.cols),
+                       any(e.denominator > 1 for e in m.entries())))
+        assert ranks == {(True, True), (True, False), (False, True),
+                         (False, False)}
 
     def test_unit_upper_triangular(self):
         import random

@@ -19,7 +19,6 @@ from involutive import (
 )
 from involutive import prolongation_dimension, rank, rref
 from involutive.linalg import random_invertible_rng, random_unit_upper_triangular
-from involutive.moduli import coefficient_variables, presentation_from_assignment
 from involutive import linalg as linalg_mod
 from involutive import tableau as tableau_mod
 from involutive.tableau import (
@@ -29,7 +28,7 @@ from involutive.tableau import (
     _staircase_generic,
     decompose_element,
 )
-from conftest import make_310
+from conftest import make_310, staircase_corpus
 
 
 class TestCartanCharacters:
@@ -245,39 +244,13 @@ def _reference_search(tab, seed, trials):
     return best[2], best[0]
 
 
-def _corpus(seed, count, scramble=None):
-    """Staircase tableaux by the acceptance pool's recipe (n <= 4, r <= 5,
-    coefficients in [-2, 2]).  ``scramble="random"`` moves each into a
-    seeded random basis pair; ``scramble="rows"`` reverses the W basis,
-    which keeps the characters of every flag but breaks the staircase."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n, r = rng.randint(1, 4), rng.randint(1, 5)
-        s = tuple(sorted((rng.randint(0, r) for _ in range(n)), reverse=True))
-        chars = CartanCharacters(s)
-        asg = {v: Fraction(rng.randint(-2, 2))
-               for v in coefficient_variables(chars)}
-        tab = tableau_from_coefficients(
-            presentation_from_assignment(chars, asg, r=r))
-        if scramble == "random":
-            bp = BasisPair(random_invertible_rng(r, rng),
-                           random_invertible_rng(n, rng))
-            tab = Tableau(r, n, [bp.apply(m) for m in tab.span])
-        elif scramble == "rows":
-            tab = Tableau(r, n, [RatMatrix.from_rows(m.row_list()[::-1])
-                                 for m in tab.span])
-        out.append(tab)
-    return out
-
-
 class TestGenericBasisSearch:
     def test_cartan_inequality_in_every_flag(self):
         # dim A^(1) <= s_1 + 2 s_2 + ... + n s_n for the identity flag and
         # for seeded random flags, involutive or not.
         rng = random.Random(17)
         seen = set()
-        for tab in _corpus(5, 30, "random"):
+        for tab in staircase_corpus(5, 30, "random"):
             dim_a1, _ = prolongation_dimension(tab)
             pairs = [BasisPair.identity(tab.r, tab.n)] + [
                 BasisPair(random_invertible_rng(tab.r, rng, bound=2),
@@ -290,10 +263,21 @@ class TestGenericBasisSearch:
             seen.add(dim_a1 == chars.cartan_bound)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_w_change_keeps_the_characters(self, scramble):
+        # the modular screen ranks pi Q only: P acts inside each column
+        rng = random.Random(9)
+        for tab in staircase_corpus(9, 30, scramble):
+            p = random_invertible_rng(tab.r, rng, bound=2)
+            q = random_invertible_rng(tab.n, rng, bound=2)
+            ident = RatMatrix.identity(tab.r)
+            assert (characters_in_basis(tab, BasisPair(p, q))
+                    == characters_in_basis(tab, BasisPair(ident, q)))
+
     def test_staircase_check_matches_level_definition(self):
         rng = random.Random(8)
         checked = set()
-        for tab in _corpus(6, 30):
+        for tab in staircase_corpus(6, 30):
             pairs = [BasisPair.identity(tab.r, tab.n),
                      BasisPair(RatMatrix.identity(tab.r),
                                random_unit_upper_triangular(tab.n, rng)),
@@ -311,7 +295,7 @@ class TestGenericBasisSearch:
 
     @pytest.mark.parametrize("scramble", [None, "rows", "random"])
     def test_same_pair_as_reference_search(self, scramble):
-        for k, tab in enumerate(_corpus(7, 12, scramble)):
+        for k, tab in enumerate(staircase_corpus(7, 12, scramble)):
             expected = _reference_search(tab, seed=k, trials=6)
             dim_a1, _ = prolongation_dimension(tab)
             for a1 in (None, dim_a1):
@@ -392,7 +376,7 @@ class TestGenericBasisSearch:
 
         monkeypatch.setattr(tableau_mod, "_search", recording)
         seen = set()
-        for k, tab in enumerate(_corpus(7, 40, scramble)):
+        for k, tab in enumerate(staircase_corpus(7, 40, scramble)):
             expected = _reference_search(tab, seed=k, trials=6)
             modular = tableau_mod._modular_evaluator(tab)
             exact = tableau_mod._exact_evaluator(tab)
