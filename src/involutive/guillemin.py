@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .involutivity import BArray, NotEndovolutive, cartan_test, prolongation_dimension
 from .linalg import RatMatrix, rank, row_basis, vstack
-from .tableau import BasisPair, Tableau, restrict_to_U
+from .tableau import Tableau, restrict_to_U
 
 
 class ZeroCovector(Exception):

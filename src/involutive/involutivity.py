@@ -14,7 +14,7 @@ Both are exact; ``cartan_test`` runs both and reports everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +28,6 @@ from .tableau import (
     _find_generic_basis,
     _reduce,
     extract_symbol_coefficients,
-    find_generic_basis,
 )
 
 VARIANTS = ("theorem", "proof")

@@ -3,20 +3,27 @@
 Everything downstream (characters, prolongations, the quadratic
 criterion) reduces to rank / kernel / solve questions, and those are
 only well-posed in exact arithmetic.  Matrices are immutable, row-major
-and hold ``fractions.Fraction`` entries; ``rref`` and the products work
-over them.
+and hold ``fractions.Fraction`` entries.
 
 Matrices here are desk-scale (a few hundred entries), so plain Gaussian
 elimination with exact pivoting is adequate.
 
-Ranks need no rationals: ``rank`` scales each row to integers and
-eliminates by cross-multiplication, dividing each new row by the gcd of
-its entries (fraction-free elimination, after Bareiss 1968).  The same
-loop, run modulo the prime ``MODULUS``, is ``pivot_columns_mod_p``.
-A rank mod p is at most the rank over Q, so its results are read only
-as lower bounds: to screen candidates in the generic-basis search and
-to accept a random matrix as invertible.  Every reported rank and
-verdict is exact.
+Elimination needs no rationals.  ``rank`` and ``rref`` scale each row by
+the lcm of its denominators and eliminate over Z by cross-multiplication,
+dividing each new row by the gcd of its entries (fraction-free
+elimination, after Bareiss 1968).  ``rank`` runs the loop forward only;
+``rref`` also clears above each pivot, and divides each row by its pivot
+only when it forms the output, which is the unique reduced row echelon
+form.  So reduced forms, kernels (``kernel_basis``), solutions
+(``solve``) and inverses (``invert``) are computed over Z, with
+``Fraction`` only in the output.  The products (``@``) still multiply
+``Fraction`` entries.
+
+The same loop, run modulo the prime ``MODULUS``, is
+``pivot_columns_mod_p``.  A rank mod p is at most the rank over Q, so
+its results are read only as lower bounds: to screen candidates in the
+generic-basis search and to accept a random matrix as invertible.  Every
+reported rank and verdict is exact.
 """
 
 from __future__ import annotations
@@ -191,41 +198,46 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     Pivot rule: first nonzero entry in column order, so the output is
     deterministic for a given input.
     """
-    a = m.row_list()
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(cols):
-        found = -1
-        for i in range(pr, rows):
-            if a[i][pc] != 0:
-                found = i
-                break
-        if found < 0:
-            continue
-        a[pr], a[found] = a[found], a[pr]
-        inv = 1 / a[pr][pc]
-        a[pr] = [e * inv for e in a[pr]]
-        for i in range(rows):
-            if i != pr and a[i][pc] != 0:
-                f = a[i][pc]
-                a[i] = [e - f * p for e, p in zip(a[i], a[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    return RatMatrix.from_rows(a) if rows else m, pivots
+    entries, pivots = _reduced_entries(_scaled_rows(m))
+    entries += [0] * ((m.rows - len(pivots)) * m.cols)
+    return RatMatrix(m.rows, m.cols, entries), pivots
 
 
-def _pivot_columns(a: list[list[int]], p: int) -> list[int]:
+def _scaled_rows(m: RatMatrix) -> list[list[int]]:
+    """Rows of ``m``, each scaled by the lcm of its own denominators."""
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        scale = math.lcm(*[e.denominator for e in row])
+        rows.append([e.numerator * (scale // e.denominator) for e in row])
+    return rows
+
+
+def _reduced_entries(a: list[list[int]]) -> tuple[list[Fraction], list[int]]:
+    """Entries of the nonzero rows of the RREF of the integer rows ``a``
+    (which are overwritten), row by row, and its pivot columns."""
+    pivots = _pivot_columns(a, 0, reduced=True)
+    zero = Fraction(0)
+    return ([Fraction(e, row[pc]) if e else zero
+             for row, pc in zip(a, pivots) for e in row], pivots)
+
+
+def _pivot_columns(a: list[list[int]], p: int,
+                   reduced: bool = False) -> list[int]:
     """Pivot columns of the integer rows ``a``, which are overwritten.
 
-    Forward elimination by cross-multiplication: a row below the pivot
-    row becomes d * row - f * pivot_row, where d is the pivot and f the
-    row's entry in the pivot column.  With ``p`` nonzero every entry is
-    reduced mod p (``a`` must already be); with ``p == 0`` the new row is
-    divided by the gcd of its entries.  Neither changes the row space
-    over the field the loop works in.
+    Elimination by cross-multiplication: a row becomes
+    d * row - f * pivot_row, where d is the pivot and f the row's entry
+    in the pivot column.  With ``p`` nonzero every entry is reduced mod p
+    (``a`` must already be); with ``p == 0`` the new row is divided by
+    the gcd of its entries.  Neither changes the row space over the
+    field the loop works in.
+
+    Forward (the default), only the rows below the pivot row change,
+    and only in the columns after the pivot, since the others are never
+    read again.  With ``reduced`` (Gauss-Jordan) the rows above change
+    too, whole rows are kept, and the first ``len(pivots)`` rows of
+    ``a`` end as the RREF with each row multiplied by its pivot entry.
     """
     pivots: list[int] = []
     pr = 0
@@ -234,19 +246,19 @@ def _pivot_columns(a: list[list[int]], p: int) -> list[int]:
         if found < 0:
             continue
         a[pr], a[found] = a[found], a[pr]
-        d, piv = a[pr][pc], a[pr][pc + 1:]
-        for i in range(pr + 1, len(a)):
+        start = 0 if reduced else pc + 1
+        d, piv = a[pr][pc], a[pr][start:]
+        for i in range(0 if reduced else pr + 1, len(a)):
             f = a[i][pc]
-            if not f:
+            if not f or i == pr:
                 continue
-            # columns up to pc are never read again
             if p:
-                a[i][pc + 1:] = [(d * e - f * q) % p
-                                 for e, q in zip(a[i][pc + 1:], piv)]
+                a[i][start:] = [(d * e - f * q) % p
+                                for e, q in zip(a[i][start:], piv)]
             else:
-                row = [d * e - f * q for e, q in zip(a[i][pc + 1:], piv)]
+                row = [d * e - f * q for e, q in zip(a[i][start:], piv)]
                 g = math.gcd(*row)
-                a[i][pc + 1:] = [e // g for e in row] if g > 1 else row
+                a[i][start:] = [e // g for e in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
         if pr == len(a):
@@ -260,12 +272,7 @@ def rank(m: RatMatrix) -> int:
     Each row is scaled by the lcm of its own denominators, which keeps
     the rank.
     """
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = math.lcm(*[e.denominator for e in row])
-        rows.append([e.numerator * (scale // e.denominator) for e in row])
-    return len(_pivot_columns(rows, 0))
+    return len(_pivot_columns(_scaled_rows(m), 0))
 
 
 MODULUS = 2 ** 61 - 1
@@ -351,21 +358,25 @@ def random_invertible(dim: int, seed: int = 0, bound: int = 9) -> RatMatrix:
 
 def random_invertible_rng(dim: int, rng: random.Random,
                           bound: int = 9) -> RatMatrix:
-    """First invertible draw of ``random_matrix(dim, dim, rng, bound)``.
+    """First invertible draw of ``random_matrix(dim, dim, rng, bound)``."""
+    rows = _random_invertible_rows(dim, rng, bound)
+    return RatMatrix(dim, dim, [e for row in rows for e in row])
 
-    Full rank mod p proves invertibility; only a draw that is singular
-    mod p is ranked exactly, so the accepted draws are those of an exact
-    rank test.
+
+def _random_invertible_rows(dim: int, rng: random.Random,
+                            bound: int = 9) -> list[list[int]]:
+    """``random_invertible_rng``'s draw, as integer rows.
+
+    The entries are drawn in ``random_matrix``'s order.  Full rank mod p
+    proves invertibility; only a draw that is singular mod p is ranked
+    exactly, so the accepted draws are those of an exact rank test.
     """
-    if dim == 0:
-        return RatMatrix.zeros(0, 0)
     while True:
-        # random_matrix's draws, kept as ints until one is accepted
         rows = [[rng.randint(-bound, bound) for _ in range(dim)]
                 for _ in range(dim)]
         if (len(pivot_columns_mod_p(rows)) == dim
                 or len(_pivot_columns([row[:] for row in rows], 0)) == dim):
-            return RatMatrix(dim, dim, [e for row in rows for e in row])
+            return rows
 
 
 def random_unit_upper_triangular(dim: int, rng: random.Random,

@@ -24,12 +24,11 @@ from typing import Optional
 from .linalg import (
     RatMatrix,
     SingularMatrix,
+    _random_invertible_rows,
+    _reduced_entries,
     invert,
-    kernel_basis,
     pivot_columns_mod_p,
-    random_invertible_rng,
     rank,
-    rref,
     vstack,
 )
 
@@ -127,9 +126,6 @@ class BasisPair:
     def apply(self, pi: RatMatrix) -> RatMatrix:
         return self.w_change @ pi @ self.v_change
 
-    def then_w(self, p: RatMatrix) -> "BasisPair":
-        return BasisPair(p @ self.w_change, self.v_change)
-
     def then_v(self, q: RatMatrix) -> "BasisPair":
         return BasisPair(self.w_change, self.v_change @ q)
 
@@ -226,12 +222,6 @@ class Tableau:
             rows.append([m[a, i] for i in range(self.n) for a in range(self.r)])
         return RatMatrix.from_rows(rows)
 
-    def basis_matrix(self, basis: Optional[BasisPair] = None) -> RatMatrix:
-        """dim-A x (r n) matrix whose rows form a basis of the subspace."""
-        m = self.stacked(basis)
-        red, pivots = rref(m)
-        return red.submatrix(range(len(pivots)), range(self.r * self.n))
-
     @property
     def dim(self) -> int:
         return rank(self.stacked())
@@ -262,16 +252,32 @@ def _reduce(tab: Tableau, basis: BasisPair) -> tuple[RatMatrix, tuple[int, ...]]
 
     The basis matrix is the nonzero part of the reduced row echelon form
     of the stacked spanning set; s_k = rk(<=k) - rk(<k) counts its
-    pivots in column k.
+    pivots in column k.  It is computed over Z (``_reduce_rows``).
     """
     if basis.w_change.rows != tab.r or basis.v_change.rows != tab.n:
         raise InvalidBasis("basis pair has wrong dimensions")
-    red, pivots = rref(tab.stacked(basis))
-    counts = [0] * tab.n
+    return _reduce_rows(tab.r, _span_rows(tab), _integer_rows(basis.w_change),
+                        _integer_rows(basis.v_change))
+
+
+def _reduce_rows(r: int, span, w, q) -> tuple[RatMatrix, tuple[int, ...]]:
+    """``_reduce`` of the integer spanning matrices ``span`` in the
+    integer pair (``w``, ``q``).
+
+    Each stacked row P pi Q is formed in plain ints.  The integer rows
+    are scalar multiples of the rational ones (each matrix was scaled by
+    the lcm of its denominators), and scaling rows leaves the RREF
+    unchanged; the RREF itself is eliminated over Z, and ``Fraction``
+    appears only in its entries.
+    """
+    rows = [[sum(x * y for x, y in zip(w_row, col))
+             for col in cols for w_row in w] for cols in _pi_q(span, q)]
+    n = len(q)
+    entries, pivots = _reduced_entries(rows)
+    counts = [0] * n
     for p in pivots:
-        counts[p // tab.r] += 1
-    return (red.submatrix(range(len(pivots)), range(tab.r * tab.n)),
-            tuple(counts))
+        counts[p // r] += 1
+    return RatMatrix(len(pivots), r * n, entries), tuple(counts)
 
 
 def characters_in_basis(tab: Tableau, basis: BasisPair) -> CartanCharacters:
@@ -307,13 +313,18 @@ def _staircase_generic(basis_mat: RatMatrix, s: tuple[int, ...], r: int) -> bool
 
 
 def _candidates(r: int, n: int, seed: int, trials: int):
-    """The identity pair, then ``trials`` seeded random pairs, drawn lazily."""
-    yield BasisPair.identity(r, n)
+    """The identity pair, then ``trials`` seeded random pairs, drawn lazily.
+
+    A pair (P, Q) is two lists of integer rows; the random ones are the
+    draws of ``random_invertible_rng``.
+    """
+    yield ([[int(i == j) for j in range(r)] for i in range(r)],
+           [[int(i == j) for j in range(n)] for i in range(n)])
     rng = random.Random(seed)
     for _ in range(trials):
-        p = random_invertible_rng(r, rng)
-        q = random_invertible_rng(n, rng)
-        yield BasisPair._unchecked(p, q)
+        p = _random_invertible_rows(r, rng)
+        q = _random_invertible_rows(n, rng)
+        yield p, q
 
 
 def _integer_rows(m: RatMatrix) -> list[list[int]]:
@@ -323,10 +334,25 @@ def _integer_rows(m: RatMatrix) -> list[list[int]]:
             for i in range(m.rows)]
 
 
+def _span_rows(tab: Tableau) -> list[list[list[int]]]:
+    """The spanning matrices of ``tab``, integerised (``_integer_rows``)."""
+    return [_integer_rows(m) for m in tab.span]
+
+
+def _pi_q(span, q) -> list[list[list[int]]]:
+    """Columns of pi Q for each integer spanning matrix pi."""
+    q_cols = list(zip(*q))
+    return [[[sum(x * y for x, y in zip(m_row, q_col)) for m_row in m]
+             for q_col in q_cols] for m in span]
+
+
 def _exact_evaluator(tab: Tableau):
-    """Characters of a candidate and a thunk for its staircase check."""
-    def evaluate(bp: BasisPair):
-        bm, chars = _reduce(tab, bp)
+    """Characters of an integer candidate pair and a thunk for its
+    staircase check, from one exact reduction."""
+    span = _span_rows(tab)
+
+    def evaluate(pair):
+        bm, chars = _reduce_rows(tab.r, span, *pair)
         return chars, lambda: _staircase_generic(bm, chars, tab.r)
     return evaluate
 
@@ -334,22 +360,21 @@ def _exact_evaluator(tab: Tableau):
 def _modular_evaluator(tab: Tableau):
     """``_exact_evaluator``'s values from ranks mod p (lower bounds).
 
-    The spanning set is integerised once.  The characters of (P, Q) are
-    those of (I, Q): pi -> P pi is invertible on every column prefix.  So
-    a candidate costs the integer products pi Q and one elimination mod
-    p, which is never below that of P pi Q; only the staircase check,
-    run for candidates that can replace the best one, forms P (pi Q) on
-    the staircase slots.  The staircase columns of the stacked matrix
-    have the rank of those of its RREF.
+    The spanning set is integerised once, and candidates are integer
+    pairs.  The characters of (P, Q) are those of (I, Q): pi -> P pi is
+    invertible on every column prefix.  So a candidate costs the integer
+    products pi Q and one elimination mod p, which is never below that
+    of P pi Q; only the staircase check, run for candidates that can
+    replace the best one, forms P (pi Q) on the staircase slots.  The
+    staircase columns of the stacked matrix have the rank of those of
+    its RREF.
     """
     r, n = tab.r, tab.n
-    span = [_integer_rows(m) for m in tab.span]
+    span = _span_rows(tab)
 
-    def evaluate(bp: BasisPair):
-        v_cols = list(zip(*_integer_rows(bp.v_change)))
-        # columns of pi Q for each spanning matrix pi
-        prods = [[[sum(x * y for x, y in zip(m_row, v_col)) for m_row in m]
-                  for v_col in v_cols] for m in span]
+    def evaluate(pair):
+        w, q = pair
+        prods = _pi_q(span, q)
         pivots = pivot_columns_mod_p([[e for col in cols for e in col]
                                       for cols in prods])
         counts = [0] * n
@@ -358,7 +383,6 @@ def _modular_evaluator(tab: Tableau):
         chars = tuple(counts)
 
         def staircase():
-            w = _integer_rows(bp.w_change)
             stair = pivot_columns_mod_p(
                 [[sum(x * y for x, y in zip(w[b], cols[lam]))
                   for lam in range(n) for b in range(chars[lam])]
@@ -375,7 +399,7 @@ def _search(candidates, evaluate, certified):
     ends the search; otherwise the first one with the lexicographically
     maximal characters wins, a staircase-generic one preferred.
     """
-    best: Optional[tuple] = None   # (chars, staircase_ok, basis)
+    best: Optional[tuple] = None   # (chars, staircase_ok, candidate)
     for bp in candidates:
         chars, staircase = evaluate(bp)
         # a candidate that cannot replace the best one needs no staircase check
@@ -454,18 +478,27 @@ def _find_generic_basis(tab: Tableau, seed: int, trials: int,
             dim_a = tab.dim
         return total == dim_a
 
-    bp, chars, ok, done = _search(_candidates(tab.r, tab.n, seed, trials),
-                                  _modular_evaluator(tab), certified)
+    pair, chars, ok, done = _search(_candidates(tab.r, tab.n, seed, trials),
+                                    _modular_evaluator(tab), certified)
+    bp = _basis_pair(pair)
     reduced = None
     if not done:
         reduced = _reduce(tab, bp)
         bm, exact_chars = reduced
         exact_ok = _staircase_generic(bm, exact_chars, tab.r)
         if (exact_chars, exact_ok) != (chars, ok):
-            bp, chars, _, _ = _search(_candidates(tab.r, tab.n, seed, trials),
-                                      _exact_evaluator(tab), certified)
+            pair, chars, _, _ = _search(
+                _candidates(tab.r, tab.n, seed, trials),
+                _exact_evaluator(tab), certified)
+            bp = _basis_pair(pair)
             reduced = None
     return bp, CartanCharacters(chars), reduced
+
+
+def _basis_pair(pair) -> BasisPair:
+    """``BasisPair`` of an integer candidate, invertible by construction."""
+    w, q = pair
+    return BasisPair._unchecked(RatMatrix.from_rows(w), RatMatrix.from_rows(q))
 
 
 def extract_symbol_coefficients(tab: Tableau,

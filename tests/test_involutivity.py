@@ -24,7 +24,7 @@ from involutive import (
 )
 from involutive import involutivity as involutivity_mod
 from involutive import tableau as tableau_mod
-from involutive.involutivity import NotEndovolutive, find_generic_basis
+from involutive.involutivity import NotEndovolutive
 from involutive.linalg import (
     invert,
     kernel_basis,
@@ -33,7 +33,7 @@ from involutive.linalg import (
     rref,
 )
 from involutive.moduli import coefficient_variables, presentation_from_assignment
-from involutive.tableau import NonGenericBasis, _reduce
+from involutive.tableau import NonGenericBasis, _reduce, find_generic_basis
 from conftest import make_310, make_321, staircase_corpus
 
 

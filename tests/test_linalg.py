@@ -39,6 +39,35 @@ def matrices(draw, max_dim=5):
     return RatMatrix(rows, cols, data)
 
 
+def _fraction_rref(m):
+    """Reference: Gauss-Jordan elimination in ``Fraction`` arithmetic,
+    pivoting on the first nonzero entry in column order."""
+    a = m.row_list()
+    rows, cols = m.rows, m.cols
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        found = -1
+        for i in range(pr, rows):
+            if a[i][pc] != 0:
+                found = i
+                break
+        if found < 0:
+            continue
+        a[pr], a[found] = a[found], a[pr]
+        inv = 1 / a[pr][pc]
+        a[pr] = [e * inv for e in a[pr]]
+        for i in range(rows):
+            if i != pr and a[i][pc] != 0:
+                f = a[i][pc]
+                a[i] = [e - f * p for e, p in zip(a[i], a[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return RatMatrix.from_rows(a) if rows else m, pivots
+
+
 class TestRatMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -79,6 +108,43 @@ class TestRref:
         red, pivots = rref(m)
         assert pivots == [0]
         assert red.row(0) == (Fraction(1), Fraction(2))
+
+    def test_rref_matches_fraction_gauss_jordan(self):
+        # rref eliminates over Z; the RREF is unique, so it must equal
+        # the Fraction elimination's output exactly
+        import random
+        rng = random.Random(21)
+        big = 2 ** 64
+        cases = [RatMatrix(0, 3, []), RatMatrix(3, 0, []), RatMatrix(0, 0, []),
+                 RatMatrix.zeros(2, 3),
+                 RatMatrix.from_rows([[big + 1, Fraction(big, 3)],
+                                      [Fraction(1, big), -big * big]]),
+                 RatMatrix.from_rows([[Fraction(1, 3), -2], [Fraction(-1, 6), 1],
+                                      [0, 0]])]
+        for _ in range(300):
+            rows, inner, cols = (rng.randint(1, 6), rng.randint(1, 6),
+                                 rng.randint(1, 7))
+            scale = rng.choice([1, big + 7])
+            entries = [Fraction(rng.randint(-9, 9) * scale, rng.randint(1, 6))
+                       for _ in range(rows * inner)]
+            m = RatMatrix(rows, inner, entries) @ random_matrix(
+                inner, cols, rng, bound=3)
+            data = m.row_list()
+            k = rng.randrange(rows)
+            if rng.random() < 0.5:
+                data.insert(k, list(data[rng.randrange(rows)]))   # duplicate
+            else:
+                data.insert(k, [0] * cols)                        # zero row
+            cases.append(RatMatrix.from_rows(data))
+        kinds = set()
+        for m in cases:
+            red, pivots = rref(m)
+            assert (red, pivots) == _fraction_rref(m)
+            assert (red.rows, red.cols) == (m.rows, m.cols)
+            kinds.add((any(e.denominator > 1 for e in m.entries()),
+                       any(abs(e.numerator) >= big for e in m.entries())))
+        assert kinds == {(True, True), (True, False), (False, True),
+                         (False, False)}
 
     def test_rank_identity(self):
         assert rank(RatMatrix.identity(4)) == 4
@@ -131,7 +197,7 @@ class TestRandom:
         def reference(dim, rng, bound):
             while True:
                 m = random_matrix(dim, dim, rng, bound)
-                if len(rref(m)[1]) == dim:
+                if len(_fraction_rref(m)[1]) == dim:
                     return m, rng.getstate()
                 singular.append(m)
 
@@ -158,7 +224,7 @@ class TestRandom:
             rows, cols = rng.randint(1, 5), rng.randint(1, 7)
             m = random_matrix(rows, cols, rng, bound=3)
             ints = [[int(e) for e in row] for row in m.row_list()]
-            exact = rref(m)[1]
+            exact = _fraction_rref(m)[1]
             assert linalg.pivot_columns_mod_p(ints) == exact
             for k in range(cols + 1):
                 prefix = [row[:k] for row in ints]
@@ -188,7 +254,7 @@ class TestRandom:
             cases.append(m)
         ranks = set()
         for m in cases:
-            exact = rref(m)[1]
+            exact = _fraction_rref(m)[1]
             assert rank(m) == len(exact)
             ints = []
             for row in m.row_list():

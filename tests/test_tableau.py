@@ -1,5 +1,6 @@
 """Tableaux, characters, staircase extraction, and basis handling."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,11 @@ from involutive import (
     tableau_from_coefficients,
 )
 from involutive import prolongation_dimension, rank, rref
-from involutive.linalg import random_invertible_rng, random_unit_upper_triangular
+from involutive.linalg import (
+    invert,
+    random_invertible_rng,
+    random_unit_upper_triangular,
+)
 from involutive import linalg as linalg_mod
 from involutive import tableau as tableau_mod
 from involutive.tableau import (
@@ -120,6 +125,37 @@ class TestCharacters:
         scrambled = Tableau(3, 3, [bp.apply(m) for m in tab.span])
         _, chars = find_generic_basis(scrambled, seed=3)
         assert chars.s == (3, 1, 0)
+
+    @pytest.mark.parametrize("scramble", [None, "random"])
+    def test_integer_reduce_matches_rref_of_stacked(self, scramble):
+        # _reduce forms P pi Q in ints, each matrix scaled by the lcm of
+        # its denominators; scaling rows leaves the RREF unchanged
+        rng = random.Random(31)
+        fractional = False
+        for tab in staircase_corpus(19, 30, scramble):
+            p = random_invertible_rng(tab.r, rng, bound=3)
+            q = random_invertible_rng(tab.n, rng, bound=3)
+            rational = BasisPair(invert(p), invert(q))
+            fractional = fractional or any(
+                e.denominator > 1 for m in (rational.w_change,
+                                            rational.v_change)
+                for e in m.entries())
+            # and a spanning set with fractional entries
+            scaled = Tableau(tab.r, tab.n, [m.scale(Fraction(k + 1, k + 3))
+                                            for k, m in enumerate(tab.span)])
+            for t, bp in itertools.product(
+                    (tab, scaled),
+                    (BasisPair.identity(tab.r, tab.n), BasisPair(p, q),
+                     rational, BasisPair(p, rational.v_change))):
+                red, pivots = rref(t.stacked(bp))
+                counts = [0] * tab.n
+                for c in pivots:
+                    counts[c // tab.r] += 1
+                expected = (red.submatrix(range(len(pivots)),
+                                          range(tab.r * tab.n)),
+                            tuple(counts))
+                assert tableau_mod._reduce(t, bp) == expected
+        assert fractional
 
     def test_characters_stable_under_more_trials(self):
         tab = tableau_from_coefficients(make_310(Q=7))
@@ -305,12 +341,13 @@ class TestGenericBasisSearch:
 
     def test_certified_candidate_stops_the_search(self, monkeypatch):
         calls = []
+        draw = linalg_mod._random_invertible_rows
 
         def counting(dim, rng, bound=9):
             calls.append(dim)
-            return random_invertible_rng(dim, rng, bound)
+            return draw(dim, rng, bound)
 
-        monkeypatch.setattr(tableau_mod, "random_invertible_rng", counting)
+        monkeypatch.setattr(tableau_mod, "_random_invertible_rows", counting)
         tab = tableau_from_coefficients(make_310(T2=2, R3=2, Q=1))
         dim_a1, _ = prolongation_dimension(tab)
         _, chars = find_generic_basis(tab, dim_a1=dim_a1)
