@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import RatMatrix, invert, rank, row_basis
+from .linalg import RatMatrix, _denominator_lcm, _pivot_columns
 from .tableau import (
     BasisPair,
     CartanCharacters,
@@ -27,6 +27,7 @@ from .tableau import (
     Tableau,
     _find_generic_basis,
     _reduce,
+    _span_rows,
     extract_symbol_coefficients,
 )
 
@@ -262,41 +263,33 @@ def quadratic_criterion(barr: BArray,
     return out
 
 
-def prolongation_matrix(tab: Tableau) -> RatMatrix:
-    """Matrix of the prolonged symbol A (x) V* -> W (x) Wedge2 V*.
+def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
+    """(dim of the prolonged tableau, dim of the degree-2 cokernel).
 
-    Domain basis: (basis of A) x u^k; codomain basis: w_a (x) u^i ^ u^j
-    with i < j.  Basis-independent quantities only (kernel and cokernel
-    dimensions) are consumed downstream.
+    Both are read off the rank of the prolonged symbol
+    A (x) V* -> W (x) Wedge2 V*: one column per (basis element of A) x
+    u^k, one row per w_a (x) u^i ^ u^j with i < j.  The basis of A is
+    the integer Gauss-Jordan rows of the stacked spanning set, and the
+    matrix is built and ranked over Z.  Forward-eliminated rows would
+    not do: they keep stale entries left of each pivot, so they need
+    not lie in A.
     """
     r, n = tab.r, tab.n
-    elems = row_basis(tab.stacked())
-    d = len(elems)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows = len(pairs) * r
-    cols = d * n
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
-    for p, e in enumerate(elems):
-        flat = e.entries()  # column-major: (a, i) at i*r + a
-        for k in range(n):
-            c = p * n + k
-            for idx, (i, j) in enumerate(pairs):
-                for a in range(r):
-                    val = Fraction(0)
-                    if k == j:
-                        val += flat[i * r + a]
-                    if k == i:
-                        val -= flat[j * r + a]
-                    if val:
-                        entries[idx * r + a][c] = val
-    return RatMatrix(rows, cols, [e for row in entries for e in row])
-
-
-def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
-    """(dim of the prolonged tableau, dim of the degree-2 cokernel)."""
-    m = prolongation_matrix(tab)
-    rk = rank(m)
-    return m.cols - rk, m.rows - rk
+    flat = [[m[a][i] for i in range(n) for a in range(r)]  # column-major
+            for m in _span_rows(tab)]
+    elems = flat[:len(_pivot_columns(flat, 0, reduced=True))]
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(r):
+                row = []
+                for e in elems:
+                    for k in range(n):
+                        row.append(e[i * r + a] if k == j
+                                   else -e[j * r + a] if k == i else 0)
+                rows.append(row)
+    rk = len(_pivot_columns(rows, 0))
+    return len(elems) * n - rk, len(rows) - rk
 
 
 def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
@@ -328,7 +321,7 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
     """``search_endovolutive_basis``, reusing ``reduced`` when it is the
     ``_reduce(tab, basis)`` already made (as ``_find_generic_basis``
     returns it) and reducing otherwise."""
-    bm, counts = reduced if reduced is not None else _reduce(tab, basis)
+    rows, counts = reduced if reduced is not None else _reduce(tab, basis)
     chars = CartanCharacters(counts)
     if not chars.is_weakly_decreasing():
         return None
@@ -337,41 +330,58 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
         return basis, SymbolPresentation(r, chars, {})
 
     # Column-lam block of the rows pivoting in column lam: in an RREF
-    # every pivot column is a unit vector, so these are already reduced.
+    # every pivot column is a unit vector, so these blocks, divided by
+    # their first nonzero entries (the pivots), are already reduced.
     flag = []
     top = 0
     for lam in range(1, ell + 1):
-        flag.append([bm.row(i)[(lam - 1) * r:lam * r]
-                     for i in range(top, top + s[lam - 1])])
+        flag.append([row[(lam - 1) * r:lam * r]
+                     for row in rows[top:top + s[lam - 1]]])
         top += s[lam - 1]
 
     # Nesting check, then a W-basis with first s_lam vectors spanning
     # the lam-th flag space.
     for lam in range(1, ell):
-        if rank(RatMatrix.from_rows(flag[lam - 1] + flag[lam])) != s[lam - 1]:
+        if _rank(flag[lam - 1] + flag[lam]) != s[lam - 1]:
             return None
     adapted: list = []
     for lam in range(ell, 0, -1):
         for v in flag[lam - 1]:
-            cand = adapted + [v]
-            if rank(RatMatrix.from_rows(cand)) == len(cand):
-                adapted = cand
+            if _rank(adapted + [v]) == len(adapted) + 1:
+                adapted.append(v)
     for a in range(r):
         if len(adapted) == r:
             break
-        unit = [Fraction(int(i == a)) for i in range(r)]
-        cand = adapted + [unit]
-        if rank(RatMatrix.from_rows(cand)) == len(cand):
-            adapted = cand
-    w_new = invert(RatMatrix.from_rows(adapted).transpose())
-    # w_new is an inverse, so invertible: no rank check needed
-    bp = BasisPair._unchecked(w_new @ basis.w_change, basis.v_change)
+        unit = [int(i == a) for i in range(r)]
+        if _rank(adapted + [unit]) == len(adapted) + 1:
+            adapted.append(unit)
+    # With U the integer vectors and D their first nonzero entries, the
+    # adapted vectors are the rows of D^-1 U, and the new W change is
+    # (U^T D^-1)^-1 W = D (U^T)^-1 W: D times the right block of the
+    # RREF of [U^T | W], eliminated over Z (each row scaled by the lcm of
+    # the denominators of W).  It is invertible: no rank check needed.
+    w = basis.w_change
+    lcm = _denominator_lcm(w.entries())
+    aug = [[u[j] * lcm for u in adapted]
+           + [e.numerator * (lcm // e.denominator) for e in w.row(j)]
+           for j in range(r)]
+    _pivot_columns(aug, 0, reduced=True)
+    d = [next(x for x in u if x) for u in adapted]
+    bp = BasisPair._unchecked(
+        RatMatrix(r, r, [Fraction(d[k] * e, row[k])
+                         for k, row in enumerate(aug) for e in row[r:]]),
+        basis.v_change)
     try:
         pres = extract_symbol_coefficients(tab, bp)
     except NonGenericBasis:
         return None
     ok, _ = is_endovolutive(pres)
     return (bp, pres) if ok else None
+
+
+def _rank(vectors) -> int:
+    """Rank over Q of integer vectors."""
+    return len(_pivot_columns([v[:] for v in vectors], 0))
 
 
 @dataclass

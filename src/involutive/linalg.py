@@ -16,7 +16,9 @@ elimination, after Bareiss 1968).  ``rank`` runs the loop forward only;
 only when it forms the output, which is the unique reduced row echelon
 form.  So reduced forms, kernels (``kernel_basis``), solutions
 (``solve``) and inverses (``invert``) are computed over Z, with
-``Fraction`` only in the output.  The products (``@``) still multiply
+``Fraction`` only in the output.  ``tableau`` and ``involutivity`` run
+the same loop (``_pivot_columns``) on integer rows directly, so the
+analyze path makes no product; the products (``@``) multiply
 ``Fraction`` entries.
 
 The same loop, run modulo the prime ``MODULUS``, is
@@ -28,6 +30,7 @@ reported rank and verdict is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -203,12 +206,24 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     return RatMatrix(m.rows, m.cols, entries), pivots
 
 
+def _denominator_lcm(values: Iterable[Fraction]) -> int:
+    """lcm of the denominators of ``values``.
+
+    Folded pairwise rather than as ``math.lcm(*values)`` (and likewise
+    the gcd in ``_pivot_columns``): CPython 3.11 keeps every freed
+    20-tuple on a free list that it never draws from again, so star
+    calls on 20 values (a 5 x 4 matrix, say) leave up to 2000 dead
+    blocks that each pin a memory pool for the life of the process.
+    """
+    return functools.reduce(math.lcm, [e.denominator for e in values], 1)
+
+
 def _scaled_rows(m: RatMatrix) -> list[list[int]]:
     """Rows of ``m``, each scaled by the lcm of its own denominators."""
     rows = []
     for i in range(m.rows):
         row = m.row(i)
-        scale = math.lcm(*[e.denominator for e in row])
+        scale = _denominator_lcm(row)
         rows.append([e.numerator * (scale // e.denominator) for e in row])
     return rows
 
@@ -257,7 +272,7 @@ def _pivot_columns(a: list[list[int]], p: int,
                                 for e, q in zip(a[i][start:], piv)]
             else:
                 row = [d * e - f * q for e, q in zip(a[i][start:], piv)]
-                g = math.gcd(*row)
+                g = functools.reduce(math.gcd, row, 0)  # see _denominator_lcm
                 a[i][start:] = [e // g for e in row] if g > 1 else row
         pivots.append(pc)
         pr += 1

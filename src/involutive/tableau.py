@@ -15,7 +15,6 @@ coordinate prefix.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,10 +22,9 @@ from typing import Optional
 
 from .linalg import (
     RatMatrix,
-    SingularMatrix,
+    _denominator_lcm,
+    _pivot_columns,
     _random_invertible_rows,
-    _reduced_entries,
-    invert,
     pivot_columns_mod_p,
     rank,
     vstack,
@@ -125,9 +123,6 @@ class BasisPair:
 
     def apply(self, pi: RatMatrix) -> RatMatrix:
         return self.w_change @ pi @ self.v_change
-
-    def then_v(self, q: RatMatrix) -> "BasisPair":
-        return BasisPair(self.w_change, self.v_change @ q)
 
 
 @dataclass(frozen=True)
@@ -247,12 +242,15 @@ class Tableau:
         return cls(r, n, [])
 
 
-def _reduce(tab: Tableau, basis: BasisPair) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Basis matrix and characters of ``tab`` in ``basis``, from one rref.
+def _reduce(tab: Tableau, basis: BasisPair) -> tuple[list[list[int]],
+                                                  tuple[int, ...]]:
+    """Integer basis rows and characters of ``tab`` in ``basis``, from one
+    elimination.
 
-    The basis matrix is the nonzero part of the reduced row echelon form
-    of the stacked spanning set; s_k = rk(<=k) - rk(<k) counts its
-    pivots in column k.  It is computed over Z (``_reduce_rows``).
+    Row k is the k-th nonzero row of the reduced row echelon form of the
+    stacked spanning set, multiplied by its pivot entry (its first
+    nonzero entry); s_k = rk(<=k) - rk(<k) counts the rows pivoting in
+    column k.  It is computed over Z (``_reduce_rows``).
     """
     if basis.w_change.rows != tab.r or basis.v_change.rows != tab.n:
         raise InvalidBasis("basis pair has wrong dimensions")
@@ -260,24 +258,23 @@ def _reduce(tab: Tableau, basis: BasisPair) -> tuple[RatMatrix, tuple[int, ...]]
                         _integer_rows(basis.v_change))
 
 
-def _reduce_rows(r: int, span, w, q) -> tuple[RatMatrix, tuple[int, ...]]:
+def _reduce_rows(r: int, span, w, q) -> tuple[list[list[int]],
+                                               tuple[int, ...]]:
     """``_reduce`` of the integer spanning matrices ``span`` in the
     integer pair (``w``, ``q``).
 
     Each stacked row P pi Q is formed in plain ints.  The integer rows
     are scalar multiples of the rational ones (each matrix was scaled by
-    the lcm of its denominators), and scaling rows leaves the RREF
-    unchanged; the RREF itself is eliminated over Z, and ``Fraction``
-    appears only in its entries.
+    the lcm of its denominators), so they have the same RREF, and the
+    elimination is over Z.
     """
     rows = [[sum(x * y for x, y in zip(w_row, col))
              for col in cols for w_row in w] for cols in _pi_q(span, q)]
-    n = len(q)
-    entries, pivots = _reduced_entries(rows)
-    counts = [0] * n
+    pivots = _pivot_columns(rows, 0, reduced=True)
+    counts = [0] * len(q)
     for p in pivots:
         counts[p // r] += 1
-    return RatMatrix(len(pivots), r * n, entries), tuple(counts)
+    return rows[:len(pivots)], tuple(counts)
 
 
 def characters_in_basis(tab: Tableau, basis: BasisPair) -> CartanCharacters:
@@ -285,31 +282,43 @@ def characters_in_basis(tab: Tableau, basis: BasisPair) -> CartanCharacters:
     return CartanCharacters(_reduce(tab, basis)[1])
 
 
-def _staircase_positions(s: tuple[int, ...], r: int) -> list[int]:
-    """Flat positions of the staircase slots (b, lam), column by column."""
-    return [(lam - 1) * r + (b - 1)
-            for lam in range(1, len(s) + 1)
-            for b in range(1, s[lam - 1] + 1)]
+def _staircase_order(s: tuple[int, ...], r: int) -> list[int]:
+    """All flat positions, the staircase slots (b, lam) first, column by
+    column, then the others in order."""
+    stair = [(lam - 1) * r + (b - 1)
+             for lam in range(1, len(s) + 1)
+             for b in range(1, s[lam - 1] + 1)]
+    taken = set(stair)
+    return stair + [c for c in range(r * len(s)) if c not in taken]
 
 
-def _staircase_generic(basis_mat: RatMatrix, s: tuple[int, ...], r: int) -> bool:
-    """True when the staircase projection is level-wise bijective.
+def _staircase_rows(rows: list[list[int]], s: tuple[int, ...], r: int,
+                    reduced: bool = False) -> Optional[list[list[int]]]:
+    """``rows``, as ``_reduce`` returns them, with their columns in
+    ``_staircase_order`` and eliminated over Z (Gauss-Jordan with
+    ``reduced``), or None when the staircase projection is not
+    level-wise bijective.
 
-    Requires, for each k, that the staircase slots of columns <= k span
-    the projection of A onto the first k columns (generators packed to
-    the top); this is what makes the symbol coefficients well-defined
-    with the Fig-style triangular support.
+    Bijective means, for each k, that the staircase slots of columns
+    <= k span the projection of A onto the first k columns (generators
+    packed to the top); this is what makes the symbol coefficients
+    well-defined with the Fig-style triangular support.
 
-    ``basis_mat`` must be in reduced row echelon form with s_k pivots in
-    column k, as ``_reduce`` returns it.  Then the projection onto the
-    first k columns has rank s_1 + ... + s_k, and the staircase columns
-    form a square block upper-triangular matrix whose k-th diagonal
-    block pairs the rows pivoting in column k with the staircase slots
-    of column k.  Every level is bijective exactly when every diagonal
-    block is invertible, that is, when the whole matrix is.
+    ``rows`` span the RREF with s_k rows pivoting in column k, so the
+    projection onto the first k columns has rank s_1 + ... + s_k, and
+    the staircase columns form a square block upper-triangular matrix
+    whose k-th diagonal block pairs the rows pivoting in column k with
+    the staircase slots of column k.  Every level is bijective exactly
+    when every diagonal block is invertible, that is, when the whole
+    matrix is: when the permuted rows pivot in the first ``dim A``
+    columns.  With ``reduced``, row g is then the element whose
+    staircase slots are the g-th unit vector, times its pivot entry.
     """
-    stair = basis_mat.select_columns(_staircase_positions(s, r))
-    return rank(stair) == basis_mat.rows
+    order = _staircase_order(s, r)
+    a = [[row[c] for c in order] for row in rows]
+    if _pivot_columns(a, 0, reduced) != list(range(len(rows))):
+        return None
+    return a
 
 
 def _candidates(r: int, n: int, seed: int, trials: int):
@@ -329,7 +338,7 @@ def _candidates(r: int, n: int, seed: int, trials: int):
 
 def _integer_rows(m: RatMatrix) -> list[list[int]]:
     """Rows of ``m`` scaled by the lcm of its denominators."""
-    scale = math.lcm(*[e.denominator for e in m.entries()])
+    scale = _denominator_lcm(m.entries())
     return [[e.numerator * (scale // e.denominator) for e in m.row(i)]
             for i in range(m.rows)]
 
@@ -352,8 +361,8 @@ def _exact_evaluator(tab: Tableau):
     span = _span_rows(tab)
 
     def evaluate(pair):
-        bm, chars = _reduce_rows(tab.r, span, *pair)
-        return chars, lambda: _staircase_generic(bm, chars, tab.r)
+        rows, chars = _reduce_rows(tab.r, span, *pair)
+        return chars, lambda: _staircase_rows(rows, chars, tab.r) is not None
     return evaluate
 
 
@@ -484,8 +493,8 @@ def _find_generic_basis(tab: Tableau, seed: int, trials: int,
     reduced = None
     if not done:
         reduced = _reduce(tab, bp)
-        bm, exact_chars = reduced
-        exact_ok = _staircase_generic(bm, exact_chars, tab.r)
+        rows, exact_chars = reduced
+        exact_ok = _staircase_rows(rows, exact_chars, tab.r) is not None
         if (exact_chars, exact_ok) != (chars, ok):
             pair, chars, _, _ = _search(
                 _candidates(tab.r, tab.n, seed, trials),
@@ -506,41 +515,37 @@ def extract_symbol_coefficients(tab: Tableau,
     """Solve for the staircase coefficients of A in the given basis.
 
     Raises NonGenericBasis when the staircase slots fail to determine
-    the remaining entries (wrong characters, generators not packed to
-    the top, or dependence on columns to the right).
+    the remaining entries: the characters are not weakly decreasing, or
+    the staircase projection is not bijective (generators not packed to
+    the top).
+
+    The element with unit staircase slot g is row g of the RREF of A
+    with the staircase columns ordered first (``_staircase_rows``),
+    which is eliminated over Z; ``Fraction`` appears only when each row
+    is divided by its pivot.  Its slot lies in column lam, and it is a
+    combination of the rows of A's RREF pivoting in column lam or later
+    (the staircase block is block upper-triangular, so is its inverse),
+    so it vanishes on the columns left of lam.
     """
-    bm, s = _reduce(tab, basis)
+    rows, s = _reduce(tab, basis)
     chars = CartanCharacters(s)
     if not chars.is_weakly_decreasing():
         raise NonGenericBasis(f"characters {chars.s} not weakly decreasing")
     r, n = tab.r, tab.n
-    if bm.rows == 0:
-        return SymbolPresentation(r, chars, {})
-    # The staircase columns are invertible exactly when the basis is
-    # staircase-generic (see _staircase_generic).
-    try:
-        gmat_inv = invert(bm.select_columns(_staircase_positions(s, r)))
-    except SingularMatrix:
-        raise NonGenericBasis("staircase projection is not bijective") from None
-    adapted = gmat_inv @ bm                  # row g = element with unit slot g
+    adapted = _staircase_rows(rows, s, r, reduced=True)
+    if adapted is None:
+        raise NonGenericBasis("staircase projection is not bijective")
+    others = _staircase_order(s, r)[len(rows):]
     coeffs = {}
     slots = [(lam, b) for lam in range(1, n + 1)
              for b in range(1, s[lam - 1] + 1)]
     for g, (lam, b) in enumerate(slots):
-        row = adapted.row(g)
-        for i in range(1, n + 1):
-            for a in range(1, r + 1):
-                val = row[(i - 1) * r + (a - 1)]
-                if val == 0:
-                    continue
-                if a <= s[i - 1]:
-                    if (i, a) != (lam, b):
-                        raise NonGenericBasis("unexpected staircase entry")
-                    continue
-                if i < lam:
-                    raise NonGenericBasis(
-                        "dependence on columns left of the generator")
-                coeffs[(a, lam, i, b)] = val
+        row = adapted[g]
+        for c, val in zip(others, row[len(rows):]):
+            if val == 0:
+                continue
+            i, a = divmod(c, r)
+            coeffs[(a + 1, lam, i + 1, b)] = Fraction(val, row[g])
     return SymbolPresentation(r, chars, coeffs)
 
 

@@ -5,6 +5,8 @@ involutivity is decided by a single condition T2 = R3; the free
 coefficients P1, P2, P3, Q, T3 never matter.  ``presentation_321`` is
 the r=3, characters (3,2,1) family with named slots P*, Q*, R*, T*.
 ``staircase_corpus`` draws seeded tableaux of every small shape.
+``fraction_reduction`` and ``fraction_extraction`` are references
+computed with ``Fraction`` products, ``rref`` and ``invert``.
 """
 
 import random
@@ -20,7 +22,13 @@ from involutive import (
     Tableau,
     tableau_from_coefficients,
 )
-from involutive.linalg import random_invertible_rng
+from involutive.linalg import (
+    SingularMatrix,
+    invert,
+    random_invertible_rng,
+    rref,
+)
+from involutive.tableau import NonGenericBasis
 from involutive.moduli import coefficient_variables, presentation_from_assignment
 
 
@@ -82,6 +90,70 @@ def staircase_corpus(seed, count, scramble=None):
                                  for m in tab.span])
         out.append(tab)
     return out
+
+
+def fraction_reduction(tab, basis):
+    """Nonzero rows of the RREF of ``tab.stacked(basis)``, and the
+    characters (the number of pivots in each column)."""
+    red, pivots = rref(tab.stacked(basis))
+    counts = [0] * tab.n
+    for c in pivots:
+        counts[c // tab.r] += 1
+    bm = red.submatrix(range(len(pivots)), range(tab.r * tab.n))
+    return bm, tuple(counts)
+
+
+def fraction_extraction(tab, basis):
+    """``extract_symbol_coefficients`` by the inverse of the staircase
+    block times the basis matrix, in ``Fraction`` products."""
+    bm, s = fraction_reduction(tab, basis)
+    chars = CartanCharacters(s)
+    if not chars.is_weakly_decreasing():
+        raise NonGenericBasis(f"characters {chars.s} not weakly decreasing")
+    r, n = tab.r, tab.n
+    if bm.rows == 0:
+        return SymbolPresentation(r, chars, {})
+    slots = [(lam, b) for lam in range(1, n + 1)
+             for b in range(1, s[lam - 1] + 1)]
+    try:
+        gmat_inv = invert(bm.select_columns(
+            [(lam - 1) * r + (b - 1) for lam, b in slots]))
+    except SingularMatrix:
+        raise NonGenericBasis(
+            "staircase projection is not bijective") from None
+    adapted = gmat_inv @ bm
+    coeffs = {}
+    for g, (lam, b) in enumerate(slots):
+        row = adapted.row(g)
+        for i in range(1, n + 1):
+            for a in range(1, r + 1):
+                val = row[(i - 1) * r + (a - 1)]
+                if val == 0:
+                    continue
+                if a <= s[i - 1]:
+                    if (i, a) != (lam, b):
+                        raise NonGenericBasis("unexpected staircase entry")
+                    continue
+                if i < lam:
+                    raise NonGenericBasis(
+                        "dependence on columns left of the generator")
+                coeffs[(a, lam, i, b)] = val
+    return SymbolPresentation(r, chars, coeffs)
+
+
+def spanning_variants(tab, k):
+    """``tab`` and four spanning sets of the same subspace: the
+    matrices scaled by fractions, a redundant combination appended, a
+    zero matrix appended, and the order reversed."""
+    span = tab.span
+    scaled = [m.scale(Fraction(j + 1, j + k + 3)) for j, m in enumerate(span)]
+    redundant = span
+    if span:
+        redundant = span + (span[0].scale(Fraction(-1, 2))
+                            + span[-1].scale(Fraction(k + 1, 3)),)
+    zero = span + (RatMatrix.zeros(tab.r, tab.n),)
+    return [Tableau(tab.r, tab.n, x)
+            for x in (span, scaled, redundant, zero, span[::-1])]
 
 
 @pytest.fixture

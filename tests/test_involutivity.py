@@ -28,13 +28,21 @@ from involutive.involutivity import NotEndovolutive
 from involutive.linalg import (
     invert,
     kernel_basis,
+    random_invertible_rng,
     random_unit_upper_triangular,
     row_basis,
     rref,
 )
 from involutive.moduli import coefficient_variables, presentation_from_assignment
 from involutive.tableau import NonGenericBasis, _reduce, find_generic_basis
-from conftest import make_310, make_321, staircase_corpus
+from conftest import (
+    fraction_extraction,
+    fraction_reduction,
+    make_310,
+    make_321,
+    spanning_variants,
+    staircase_corpus,
+)
 
 
 def random_staircase(rng, n_max=4, r_max=5):
@@ -176,6 +184,52 @@ class TestProlongationOracle:
             assert dim_a1 == chars.cartan_bound
 
 
+def _fraction_prolongation_dimension(tab):
+    """``prolongation_dimension`` from the prolonged-symbol matrix built
+    in ``Fraction`` entries on the ``row_basis`` of the stacked span."""
+    r, n = tab.r, tab.n
+    elems = row_basis(tab.stacked())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, cols = len(pairs) * r, len(elems) * n
+    entries = [[Fraction(0)] * cols for _ in range(rows)]
+    for p, e in enumerate(elems):
+        flat = e.entries()  # column-major: (a, i) at i*r + a
+        for k in range(n):
+            for idx, (i, j) in enumerate(pairs):
+                for a in range(r):
+                    val = Fraction(0)
+                    if k == j:
+                        val += flat[i * r + a]
+                    if k == i:
+                        val -= flat[j * r + a]
+                    entries[idx * r + a][p * n + k] = val
+    rk = _rref_rank(RatMatrix(rows, cols, [e for row in entries for e in row]))
+    return cols - rk, rows - rk
+
+
+class TestIntegerProlongation:
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_matches_fraction_prolongation(self, scramble):
+        for k, tab in enumerate(staircase_corpus(25, 16, scramble)):
+            for t in spanning_variants(tab, k):
+                assert (prolongation_dimension(t)
+                        == _fraction_prolongation_dimension(t))
+
+    @pytest.mark.parametrize("tab", [
+        Tableau.zero(2, 3),
+        Tableau(3, 2, [RatMatrix.zeros(3, 2)]),
+        Tableau.zero(3, 1),
+        Tableau.full(3, 1),
+        Tableau(2, 1, [RatMatrix.from_rows([[Fraction(1, 3)], [2]]),
+                       RatMatrix.from_rows([[1], [6]])]),
+        Tableau.full(2, 3),
+    ])
+    def test_edge_cases(self, tab):
+        # n = 1 (no wedge pairs) and dim A = 0 (no columns)
+        assert (prolongation_dimension(tab)
+                == _fraction_prolongation_dimension(tab))
+
+
 def _rref_rank(m):
     return len(rref(m)[1])
 
@@ -183,8 +237,9 @@ def _rref_rank(m):
 def _reference_endovolutive(tab, basis):
     """The search with its flag from kernels: for each lam, the elements
     vanishing on columns < lam are combinations from the kernel of the
-    transposed column prefix, projected onto column lam."""
-    bm, counts = _reduce(tab, basis)
+    transposed column prefix, projected onto column lam; ``Fraction``
+    products, reductions and extraction throughout."""
+    bm, counts = fraction_reduction(tab, basis)
     chars = CartanCharacters(counts)
     if not chars.is_weakly_decreasing():
         return None
@@ -230,7 +285,7 @@ def _reference_endovolutive(tab, basis):
     w_new = invert(RatMatrix.from_rows(adapted).transpose())
     bp = BasisPair(w_new @ basis.w_change, basis.v_change)
     try:
-        pres = extract_symbol_coefficients(tab, bp)
+        pres = fraction_extraction(tab, bp)
     except NonGenericBasis:
         return None
     return (bp, pres) if is_endovolutive(pres)[0] else None
@@ -247,6 +302,24 @@ class TestEndovolutiveSearch:
                 assert found == _reference_endovolutive(tab, bp)
                 outcomes.add(found is None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_other_spanning_sets_and_rational_pairs(self, scramble):
+        # the same searches on fractional, redundant, zero-padded and
+        # reordered spanning sets, and in pairs with fractional entries
+        rng = random.Random(29)
+        outcomes = set()
+        for k, tab in enumerate(staircase_corpus(27, 10, scramble)):
+            basis, _ = find_generic_basis(tab, seed=k, trials=4)
+            rational = BasisPair(
+                invert(random_invertible_rng(tab.r, rng, bound=3))
+                @ basis.w_change, basis.v_change)
+            for t in spanning_variants(tab, k):
+                for bp in (basis, rational):
+                    found = search_endovolutive_basis(t, bp)
+                    assert found == _reference_endovolutive(t, bp)
+                    outcomes.add(found is None)
+        assert False in outcomes
 
     def test_one_exact_reduction_of_the_chosen_pair(self, monkeypatch):
         # the generic-basis search hands its verified reduction of the

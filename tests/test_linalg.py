@@ -266,6 +266,24 @@ class TestRandom:
         assert ranks == {(True, True), (True, False), (False, True),
                          (False, False)}
 
+    def test_elimination_leaves_no_blocks_behind(self):
+        # rows of 20 entries: CPython 3.11 never reuses a freed 20-tuple,
+        # so a star call on such a row (gcd(*row), lcm(*row)) would keep
+        # one block per call alive for the life of the process
+        import gc
+        import random
+        import sys
+        from involutive import linalg
+        rng = random.Random(3)
+        rows = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(6)]
+        values = [Fraction(1, rng.randint(1, 4)) for _ in range(20)]
+        gc.collect()  # also empties the free lists
+        before = sys.getallocatedblocks()
+        for _ in range(50):
+            linalg._pivot_columns([row[:] for row in rows], 0, reduced=True)
+            linalg._denominator_lcm(values)
+        assert sys.getallocatedblocks() - before < 100
+
     def test_unit_upper_triangular(self):
         import random
         m = random_unit_upper_triangular(4, random.Random(7))

@@ -30,10 +30,15 @@ from involutive.tableau import (
     InvalidBasis,
     NonGenericBasis,
     NotInTableau,
-    _staircase_generic,
+    _staircase_rows,
     decompose_element,
 )
-from conftest import make_310, staircase_corpus
+from conftest import (
+    fraction_extraction,
+    make_310,
+    spanning_variants,
+    staircase_corpus,
+)
 
 
 class TestCartanCharacters:
@@ -104,6 +109,21 @@ class TestTableauBasics:
         assert tab.dim == p.characters.dim
 
 
+def _divided_by_pivots(rows, cols):
+    """The integer rows, each divided by its first nonzero entry."""
+    return RatMatrix(len(rows), cols,
+                     [Fraction(e, next(x for x in row if x))
+                      for row in rows for e in row])
+
+
+def _extraction_outcome(extract, tab, basis):
+    """The presentation, or the message of the NonGenericBasis raised."""
+    try:
+        return extract(tab, basis)
+    except NonGenericBasis as exc:
+        return str(exc)
+
+
 class TestCharacters:
     def test_identity_basis_reads_staircase(self):
         tab = tableau_from_coefficients(make_310())
@@ -154,7 +174,11 @@ class TestCharacters:
                 expected = (red.submatrix(range(len(pivots)),
                                           range(tab.r * tab.n)),
                             tuple(counts))
-                assert tableau_mod._reduce(t, bp) == expected
+                rows, chars = tableau_mod._reduce(t, bp)
+                assert [row.index(next(e for e in row if e))
+                        for row in rows] == pivots
+                assert (_divided_by_pivots(rows, tab.r * tab.n),
+                        chars) == expected
         assert fractional
 
     def test_characters_stable_under_more_trials(self):
@@ -192,6 +216,54 @@ class TestExtraction:
         assert tab.dim == tab2.dim
         for m in tab2.span:
             assert tab.contains(m)
+
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_integer_extraction_matches_fraction_reference(self, scramble):
+        # the RREF with the staircase columns first is the inverse of the
+        # staircase block times the basis matrix; both refuse the same
+        # bases, and the reference's check for dependence left of the
+        # generator never fires (the integer extraction has none)
+        rng = random.Random(23)
+        seen = set()
+        for k, tab in enumerate(staircase_corpus(21, 16, scramble)):
+            basis, _ = find_generic_basis(tab, seed=k, trials=4)
+            pairs = [BasisPair.identity(tab.r, tab.n), basis,
+                     BasisPair(random_invertible_rng(tab.r, rng, bound=1),
+                               random_invertible_rng(tab.n, rng, bound=1))]
+            for t, bp in itertools.product(spanning_variants(tab, k), pairs):
+                expected = _extraction_outcome(fraction_extraction, t, bp)
+                assert _extraction_outcome(
+                    extract_symbol_coefficients, t, bp) == expected
+                seen.add(expected if isinstance(expected, str) else "ok")
+        assert "ok" in seen
+        assert "dependence on columns left of the generator" not in seen
+
+    @pytest.mark.parametrize("tab, refusal", [
+        (Tableau(1, 2, [RatMatrix.from_rows([[0, 1]])]),
+         "characters (0, 1) not weakly decreasing"),
+        (Tableau(2, 3, [RatMatrix.from_rows([[1, 0, 0], [0, 0, 0]]),
+                        RatMatrix.from_rows([[0, 1, 0], [0, 0, 0]]),
+                        RatMatrix.from_rows([[0, 0, 0], [0, 1, 0]])]),
+         "characters (1, 2, 0) not weakly decreasing"),
+        # A = span{w_2 (x) u^1}: its staircase slot is w_1
+        (Tableau(2, 1, [RatMatrix.from_rows([[0], [1]])]),
+         "staircase projection is not bijective"),
+        # n = 1, with fractional entries and a redundant matrix
+        (Tableau(3, 1, [RatMatrix.from_rows([[Fraction(1, 2)], [0], [3]]),
+                        RatMatrix.from_rows([[0], [Fraction(2, 3)], [1]]),
+                        RatMatrix.from_rows([[1], [Fraction(4, 3)], [8]])]),
+         None),
+        # dim A = 0, with and without zero spanning matrices
+        (Tableau.zero(2, 3), None),
+        (Tableau(3, 2, [RatMatrix.zeros(3, 2), RatMatrix.zeros(3, 2)]), None),
+        (Tableau.full(2, 3), None),
+    ])
+    def test_integer_extraction_edge_cases(self, tab, refusal):
+        bp = BasisPair.identity(tab.r, tab.n)
+        expected = _extraction_outcome(fraction_extraction, tab, bp)
+        assert (_extraction_outcome(extract_symbol_coefficients, tab, bp)
+                == expected)
+        assert (expected if isinstance(expected, str) else None) == refusal
 
     def test_non_generic_basis_raises(self):
         # A = span{u^2}: identity basis puts the generator in column 2
@@ -325,7 +397,10 @@ class TestGenericBasisSearch:
                                    range(tab.r * tab.n))
                 s = characters_in_basis(tab, bp).s
                 expected = _reference_staircase_generic(bm, s, tab.r)
-                assert _staircase_generic(bm, s, tab.r) == expected
+                rows, _ = tableau_mod._reduce(tab, bp)
+                for reduced in (False, True):
+                    ok = _staircase_rows(rows, s, tab.r, reduced) is not None
+                    assert ok == expected
                 checked.add(expected)
         assert checked == {True, False}
 
@@ -439,5 +514,3 @@ class TestGenericBasisSearch:
             BasisPair(singular, RatMatrix.identity(2))
         with pytest.raises(InvalidBasis):
             BasisPair(RatMatrix.identity(2), RatMatrix.zeros(2, 3))
-        with pytest.raises(InvalidBasis):
-            BasisPair.identity(2, 2).then_v(singular)
