@@ -344,17 +344,13 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
     for lam in range(1, ell):
         if _rank(flag[lam - 1] + flag[lam]) != s[lam - 1]:
             return None
-    adapted: list = []
-    for lam in range(ell, 0, -1):
-        for v in flag[lam - 1]:
-            if _rank(adapted + [v]) == len(adapted) + 1:
-                adapted.append(v)
-    for a in range(r):
-        if len(adapted) == r:
-            break
-        unit = [int(i == a) for i in range(r)]
-        if _rank(adapted + [unit]) == len(adapted) + 1:
-            adapted.append(unit)
+    # The candidates (flag vectors from column ell down, then the unit
+    # vectors) that are independent of those before them: the pivot
+    # columns of the matrix with the candidates as its columns.
+    cands = [v for lam in range(ell, 0, -1) for v in flag[lam - 1]]
+    cands += [[int(i == a) for i in range(r)] for a in range(r)]
+    adapted = [cands[k] for k in _pivot_columns(
+        [[v[j] for v in cands] for j in range(r)], 0)]
     # With U the integer vectors and D their first nonzero entries, the
     # adapted vectors are the rows of D^-1 U, and the new W change is
     # (U^T D^-1)^-1 W = D (U^T)^-1 W: D times the right block of the

@@ -24,7 +24,10 @@ from involutive import (
     w_plus,
 )
 from involutive.guillemin import ZeroCovector
-from involutive.involutivity import NotEndovolutive
+from involutive.involutivity import NotEndovolutive, prolongation_dimension
+from involutive.linalg import kernel_basis, rank, vstack
+from involutive.moduli import coefficient_variables, presentation_from_assignment
+from involutive.tableau import restrict_to_U
 from conftest import make_310, make_321
 
 
@@ -190,3 +193,169 @@ class TestRestrictionComparison:
         assert rep.involutive
         cut = restrict_to_U(tab, rep.basis, rep.characters.ell)
         assert prolongation_dimension(tab)[0] == prolongation_dimension(cut)[0]
+
+
+# Copies of the Guillemin layer as it was built from RatMatrix sums,
+# scalings, identities and products; the library now reads the blocks
+# directly, and must give the same matrices, bases and witnesses.
+
+def _old_b_of_phi(barr, phi, v):
+    out = RatMatrix.zeros(barr.r, barr.r)
+    for lam in range(1, barr.ell + 1):
+        c = Fraction(phi[lam - 1]) if lam <= len(phi) else Fraction(0)
+        if c == 0:
+            continue
+        for i in range(1, barr.n + 1):
+            vi = Fraction(v[i - 1]) if i <= len(v) else Fraction(0)
+            if vi == 0:
+                continue
+            out = out + barr.block(lam, i).scale(c * vi)
+    return out
+
+
+def _old_w1_of_phi(barr, phi):
+    phi = [Fraction(x) for x in phi]
+    kappa = next(k for k, c in enumerate(phi[:barr.ell], start=1) if c)
+    s_k = barr.characters.s[kappa - 1]
+    blocks = []
+    for mu in range(1, barr.ell + 1):
+        m = RatMatrix.zeros(barr.r, barr.r)
+        for lam in range(1, barr.ell + 1):
+            if phi[lam - 1] != 0:
+                m = m + barr.block(lam, mu).scale(phi[lam - 1])
+        if phi[mu - 1] != 0:
+            m = m - RatMatrix.identity(barr.r).scale(phi[mu - 1])
+        blocks.append(m)
+    for a in range(s_k, barr.r):
+        unit = [Fraction(0)] * barr.r
+        unit[a] = Fraction(1)
+        blocks.append(RatMatrix.from_rows([unit]))
+    return Subspace.from_vectors(barr.r, kernel_basis(vstack(blocks)))
+
+
+def _old_dim_w1_generic(barr, seed=0, trials=16):
+    if barr.ell == 0:
+        return 0
+    rng = random.Random(seed)
+    dims = []
+    for _ in range(trials):
+        while True:
+            phi = [Fraction(rng.randint(-9, 9)) for _ in range(barr.ell)]
+            if any(phi):
+                break
+        dims.append(_old_w1_of_phi(barr, phi).dim)
+    return max(set(dims), key=lambda d: (dims.count(d), -d))
+
+
+def _old_contains(space, v):
+    if not space.basis:
+        return v.is_zero()
+    m = RatMatrix.from_rows([list(b.entries()) for b in space.basis])
+    return rank(vstack([m, v.transpose()])) == space.dim
+
+
+def _old_check_gnf_commutativity(barr, phi, sample_vectors=()):
+    w1 = _old_w1_of_phi(barr, phi)
+    vs = [tuple(Fraction(x) for x in v) for v in sample_vectors]
+    for i in range(barr.n):
+        unit = [Fraction(0)] * barr.n
+        unit[i] = Fraction(1)
+        vs.append(tuple(unit))
+    mats = [_old_b_of_phi(barr, phi, v) for v in vs]
+    for v, m in zip(vs, mats):
+        for z in w1.basis:
+            if not _old_contains(w1, m @ z):
+                return False, {"kind": "not-endomorphism", "v": v,
+                               "z": tuple(z.entries())}
+    for p in range(len(vs)):
+        for q in range(p + 1, len(vs)):
+            comm = mats[p] @ mats[q] - mats[q] @ mats[p]
+            for z in w1.basis:
+                if not (comm @ z).is_zero():
+                    return False, {"kind": "commutator", "v": vs[p],
+                                   "v_tilde": vs[q], "z": tuple(z.entries())}
+    return True, None
+
+
+def _old_check_theorem_a(tab, seed=0, trials=32):
+    report = cartan_test(tab, seed=seed, trials=trials)
+    ell = report.characters.ell
+    if ell == tab.n:
+        return True
+    restricted = restrict_to_U(tab, report.basis, ell)
+    if prolongation_dimension(tab)[0] != prolongation_dimension(restricted)[0]:
+        return False
+    return cartan_test(restricted, seed=seed, trials=trials).involutive
+
+
+def _endovolutive_corpus(seed, count):
+    """Seeded presentations with ell >= 1 and every free endovolutive
+    slot drawn from {0, 0, 1, -1, 2}, so about a quarter are not
+    involutive; n <= 4 and r <= 4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, r = rng.randint(1, 4), rng.randint(1, 4)
+        chars = CartanCharacters(tuple(sorted(
+            (rng.randint(0, r) for _ in range(n)), reverse=True)))
+        if chars.ell == 0:
+            continue
+        asg = {v: Fraction(rng.choice((0, 0, 1, -1, 2)))
+               for v in coefficient_variables(chars)}
+        out.append(presentation_from_assignment(chars, asg, r=r))
+    return out
+
+
+# A "commutator" witness needs n >= ell + 2, since B(phi)(e_mu) acts on
+# W^1(phi) as phi_mu for every mu <= ell; this one has phi = (1, 0, 0).
+COMMUTATOR_EXAMPLE = SymbolPresentation(
+    2, CartanCharacters((2, 0, 0)),
+    {(1, 1, 2, 2): Fraction(1), (2, 1, 3, 1): Fraction(1)})
+
+
+class TestSameAsMatrixArithmetic:
+    corpus = _endovolutive_corpus(13, 120) + [COMMUTATOR_EXAMPLE]
+
+    @staticmethod
+    def phis(barr, rng):
+        out = [[1] + [0] * (barr.n - 1)]
+        for _ in range(2):
+            phi = [rng.randint(-3, 3) for _ in range(barr.n)]
+            if any(phi[:barr.ell]):
+                out.append(phi)
+        return out
+
+    def test_b_w1_and_generic_dims(self):
+        rng = random.Random(1)
+        for pres in self.corpus:
+            barr = build_b_array(pres)
+            for phi in self.phis(barr, rng):
+                assert w1_of_phi(barr, phi).basis == \
+                    _old_w1_of_phi(barr, phi).basis
+                for v in ([rng.randint(-2, 2) for _ in range(barr.n)],
+                          [Fraction(1, 2)] * barr.n, [0] * barr.n):
+                    assert b_of_phi(barr, phi, v) == \
+                        _old_b_of_phi(barr, phi, v)
+            assert dim_w1_generic(barr, seed=3) == \
+                _old_dim_w1_generic(barr, seed=3)
+
+    def test_commutativity_results_and_witnesses(self):
+        rng = random.Random(2)
+        kinds = set()
+        for pres in self.corpus:
+            barr = build_b_array(pres)
+            for phi in self.phis(barr, rng):
+                sample = [[rng.randint(-2, 2) for _ in range(barr.n)]]
+                for vs in ((), sample):
+                    got = check_gnf_commutativity(barr, phi, vs)
+                    assert got == _old_check_gnf_commutativity(barr, phi, vs)
+                    kinds.add(got[1] and got[1]["kind"])
+        assert kinds == {None, "not-endomorphism", "commutator"}
+
+    def test_theorem_a(self):
+        results = []
+        for pres in self.corpus:
+            tab = tableau_from_coefficients(pres)
+            results.append(check_theorem_a(tab))
+            assert results[-1] == _old_check_theorem_a(tab)
+        assert True in results and False in results
