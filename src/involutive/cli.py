@@ -31,7 +31,6 @@ from .guillemin import (
 )
 from .involutivity import (
     InvolutivityReport,
-    _search_endovolutive,
     build_b_array,
     cartan_test,
     prolongation_dimension,
@@ -43,7 +42,7 @@ from .moduli import (
     export_ideal,
     sample_involutive,
 )
-from .tableau import CartanCharacters, _find_generic_basis
+from .tableau import CartanCharacters, SymbolPresentation, find_generic_basis
 
 
 def _usage_error(message: str):
@@ -84,15 +83,6 @@ def _certified_line(certified: bool) -> str:
             "characters from the seeded search)")
 
 
-def _generic_basis(tab, args):
-    """Generic basis pair and characters, certified by dim A^(1) when it
-    can, and the pair's exact reduction when the search made one."""
-    dim_a1, _ = prolongation_dimension(tab)
-    basis, chars, reduced = _find_generic_basis(tab, args.seed, args.trials,
-                                                dim_a1)
-    return basis, chars, dim_a1 == chars.cartan_bound, reduced
-
-
 def report_to_dict(report: InvolutivityReport) -> dict:
     out = {
         "characters": list(report.characters.s),
@@ -124,9 +114,10 @@ def report_to_dict(report: InvolutivityReport) -> dict:
 def cmd_characters(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
-    basis, chars, certified, _ = _generic_basis(tab, args)
+    dim_a1, _ = prolongation_dimension(tab)
+    basis, chars = find_generic_basis(tab, args.seed, args.trials, dim_a1)
     print(f"characters: {' '.join(str(x) for x in chars.s)}")
-    print(_certified_line(certified))
+    print(_certified_line(dim_a1 == chars.cartan_bound))
     print(f"dim A = {chars.dim}")
     print(f"dim H^1 = {tab.r * tab.n - chars.dim}")
     print("generic basis used:")
@@ -171,13 +162,14 @@ def cmd_analyze(args) -> int:
 def cmd_gnf(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
-    basis, chars, certified, reduced = _generic_basis(tab, args)
-    found = _search_endovolutive(tab, basis, reduced)
-    if found is None:
+    report = cartan_test(tab, seed=args.seed, trials=args.trials)
+    if report.endovolutive_inconclusive:
         print("endovolutive search inconclusive; normal form unavailable")
         return 2
-    _, pres = found
-    barr = build_b_array(pres)
+    # cartan_test makes no presentation when dim A = 0
+    chars = report.characters
+    barr = build_b_array(report.presentation
+                         or SymbolPresentation(tab.r, chars, {}))
     phi = _parse_rational_list(args.phi, "--phi")
     if len(phi) < tab.n:
         phi = phi + [Fraction(0)] * (tab.n - len(phi))
@@ -188,7 +180,7 @@ def cmd_gnf(args) -> int:
         print(f"error: --phi: {exc}", file=sys.stderr)
         return 2
     print(f"characters: {' '.join(str(x) for x in chars.s)}")
-    print(_certified_line(certified))
+    print(_certified_line(report.characters_certified))
     print(f"W^-(phi): dim {wm.dim}, basis "
           f"{[[format_rational(e) for e in v.entries()] for v in wm.basis]}")
     print(f"W^1(phi): dim {w1.dim}, basis "
@@ -214,6 +206,8 @@ def cmd_ideal(args) -> int:
 
 def cmd_sample(args) -> int:
     chars = _parse_characters(args.characters)
+    if args.count < 0:
+        _usage_error(f"--count: must be non-negative, got {args.count}")
     coeff_set = _parse_rational_list(args.set, "--set")
     kept = sample_involutive(chars, seed=args.seed, count=args.count,
                              coefficient_set=coeff_set)

@@ -53,8 +53,9 @@ def document_from_dict(data: dict) -> TableauDocument:
     for key in ("r", "n", "presentation"):
         _require(key in data, key, "missing required field")
     r, n = data["r"], data["n"]
-    _require(isinstance(r, int) and r >= 1, "r", "must be a positive integer")
-    _require(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
+    # type() rather than isinstance(): JSON true and false load as bool
+    _require(type(r) is int and r >= 1, "r", "must be a positive integer")
+    _require(type(n) is int and n >= 1, "n", "must be a positive integer")
     pres = data["presentation"]
     if pres == "basis":
         mats = data.get("basis")
@@ -77,7 +78,7 @@ def document_from_dict(data: dict) -> TableauDocument:
         chars_raw = data.get("characters")
         _require(isinstance(chars_raw, list) and len(chars_raw) == n,
                  "characters", f"must be a list of {n} integers")
-        _require(all(isinstance(x, int) and x >= 0 for x in chars_raw),
+        _require(all(type(x) is int and x >= 0 for x in chars_raw),
                  "characters", "entries must be non-negative integers")
         try:
             chars = CartanCharacters(tuple(chars_raw))
@@ -92,7 +93,7 @@ def document_from_dict(data: dict) -> TableauDocument:
                 _require(key in rec, f"{field}.{key}", "missing")
             a, lam, i, b = rec["a"], rec["lambda"], rec["i"], rec["b"]
             for name, v in (("a", a), ("lambda", lam), ("i", i), ("b", b)):
-                _require(isinstance(v, int) and v >= 1, f"{field}.{name}",
+                _require(type(v) is int and v >= 1, f"{field}.{name}",
                          "must be a positive integer")
             coeffs[(a, lam, i, b)] = _parse_value(rec["value"], f"{field}.value")
         try:

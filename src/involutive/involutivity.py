@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import RatMatrix, _denominator_lcm, _pivot_columns
+from .linalg import (RatMatrix, _denominator_lcm, _integer_rows,
+                     _pivot_columns, _rank)
 from .tableau import (
     BasisPair,
     CartanCharacters,
@@ -326,8 +327,6 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
     if not chars.is_weakly_decreasing():
         return None
     s, r, ell = chars.s, tab.r, chars.ell
-    if ell == 0:
-        return basis, SymbolPresentation(r, chars, {})
 
     # Column-lam block of the rows pivoting in column lam: in an RREF
     # every pivot column is a unit vector, so these blocks, divided by
@@ -354,13 +353,12 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
     # With U the integer vectors and D their first nonzero entries, the
     # adapted vectors are the rows of D^-1 U, and the new W change is
     # (U^T D^-1)^-1 W = D (U^T)^-1 W: D times the right block of the
-    # RREF of [U^T | W], eliminated over Z (each row scaled by the lcm of
-    # the denominators of W).  It is invertible: no rank check needed.
+    # RREF of [U^T | W], eliminated over Z (scaled by the lcm of the
+    # denominators of W).  It is invertible: no rank check needed.
     w = basis.w_change
     lcm = _denominator_lcm(w.entries())
-    aug = [[u[j] * lcm for u in adapted]
-           + [e.numerator * (lcm // e.denominator) for e in w.row(j)]
-           for j in range(r)]
+    aug = [[u[j] * lcm for u in adapted] + row
+           for j, row in enumerate(_integer_rows(w))]
     _pivot_columns(aug, 0, reduced=True)
     d = [next(x for x in u if x) for u in adapted]
     bp = BasisPair._unchecked(
@@ -373,11 +371,6 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
         return None
     ok, _ = is_endovolutive(pres)
     return (bp, pres) if ok else None
-
-
-def _rank(vectors) -> int:
-    """Rank over Q of integer vectors."""
-    return len(_pivot_columns([v[:] for v in vectors], 0))
 
 
 @dataclass

@@ -8,18 +8,19 @@ and hold ``fractions.Fraction`` entries.
 Matrices here are desk-scale (a few hundred entries), so plain Gaussian
 elimination with exact pivoting is adequate.
 
-Elimination needs no rationals.  ``rank`` and ``rref`` scale each row by
-the lcm of its denominators and eliminate over Z by cross-multiplication,
-dividing each new row by the gcd of its entries (fraction-free
-elimination, after Bareiss 1968).  ``rank`` runs the loop forward only;
-``rref`` also clears above each pivot, and divides each row by its pivot
-only when it forms the output, which is the unique reduced row echelon
-form.  So reduced forms, kernels (``kernel_basis``), solutions
-(``solve``) and inverses (``invert``) are computed over Z, with
-``Fraction`` only in the output.  ``tableau`` and ``involutivity`` run
-the same loop (``_pivot_columns``) on integer rows directly, so the
-analyze path makes no product; the products (``@``) multiply
-``Fraction`` entries.
+Elimination needs no rationals.  ``rank`` and ``rref`` scale the matrix
+by the lcm of its denominators (``_integer_rows``) and eliminate over Z
+by cross-multiplication, dividing each new row by the gcd of its entries
+(fraction-free elimination, after Bareiss 1968).  ``rank`` runs the loop
+forward only; ``rref`` also clears above each pivot, and divides each
+row by its pivot only when it forms the output, which is the unique
+reduced row echelon form.  So reduced forms, kernels (``kernel_basis``),
+solutions (``solve``) and inverses (``invert``) are computed over Z,
+with ``Fraction`` only in the output.  ``tableau`` and ``involutivity``
+share the entry points ``_integer_rows`` and ``_rank`` (the rank of
+integer rows, left intact), and run ``_pivot_columns`` on integer rows
+directly, so the analyze path makes no product; the products (``@``)
+multiply ``Fraction`` entries.
 
 The same loop, run modulo the prime ``MODULUS``, is
 ``pivot_columns_mod_p``.  A rank mod p is at most the rank over Q, so
@@ -201,7 +202,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     Pivot rule: first nonzero entry in column order, so the output is
     deterministic for a given input.
     """
-    entries, pivots = _reduced_entries(_scaled_rows(m))
+    entries, pivots = _reduced_entries(_integer_rows(m))
     entries += [0] * ((m.rows - len(pivots)) * m.cols)
     return RatMatrix(m.rows, m.cols, entries), pivots
 
@@ -218,14 +219,11 @@ def _denominator_lcm(values: Iterable[Fraction]) -> int:
     return functools.reduce(math.lcm, [e.denominator for e in values], 1)
 
 
-def _scaled_rows(m: RatMatrix) -> list[list[int]]:
-    """Rows of ``m``, each scaled by the lcm of its own denominators."""
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = _denominator_lcm(row)
-        rows.append([e.numerator * (scale // e.denominator) for e in row])
-    return rows
+def _integer_rows(m: RatMatrix) -> list[list[int]]:
+    """Rows of ``m`` scaled by the lcm of its denominators (same RREF)."""
+    scale = _denominator_lcm(m.entries())
+    return [[e.numerator * (scale // e.denominator) for e in m.row(i)]
+            for i in range(m.rows)]
 
 
 def _reduced_entries(a: list[list[int]]) -> tuple[list[Fraction], list[int]]:
@@ -282,12 +280,13 @@ def _pivot_columns(a: list[list[int]], p: int,
 
 
 def rank(m: RatMatrix) -> int:
-    """Exact rank, by fraction-free elimination over Z.
+    """Exact rank, by fraction-free elimination over Z (``_integer_rows``)."""
+    return len(_pivot_columns(_integer_rows(m), 0))
 
-    Each row is scaled by the lcm of its own denominators, which keeps
-    the rank.
-    """
-    return len(_pivot_columns(_scaled_rows(m), 0))
+
+def _rank(rows: Sequence[list[int]]) -> int:
+    """Rank over Q of integer rows, which are left unchanged."""
+    return len(_pivot_columns([row[:] for row in rows], 0))
 
 
 MODULUS = 2 ** 61 - 1
@@ -389,8 +388,7 @@ def _random_invertible_rows(dim: int, rng: random.Random,
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(dim)]
                 for _ in range(dim)]
-        if (len(pivot_columns_mod_p(rows)) == dim
-                or len(_pivot_columns([row[:] for row in rows], 0)) == dim):
+        if len(pivot_columns_mod_p(rows)) == dim or _rank(rows) == dim:
             return rows
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .linalg import (
     RatMatrix,
-    _denominator_lcm,
+    _integer_rows,
     _pivot_columns,
     _random_invertible_rows,
     pivot_columns_mod_p,
@@ -334,13 +334,6 @@ def _candidates(r: int, n: int, seed: int, trials: int):
         p = _random_invertible_rows(r, rng)
         q = _random_invertible_rows(n, rng)
         yield p, q
-
-
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    """Rows of ``m`` scaled by the lcm of its denominators."""
-    scale = _denominator_lcm(m.entries())
-    return [[e.numerator * (scale // e.denominator) for e in m.row(i)]
-            for i in range(m.rows)]
 
 
 def _span_rows(tab: Tableau) -> list[list[list[int]]]:

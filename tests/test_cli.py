@@ -4,13 +4,33 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import involutive
-from involutive.cli import main
-from involutive.document import save_presentation
-from conftest import make_310
+from involutive import Tableau, cli
+from involutive.cli import build_parser, main
+from involutive.document import (
+    load_document,
+    matrix_to_lists,
+    save_presentation,
+)
+from involutive.guillemin import (
+    ZeroCovector,
+    check_gnf_commutativity,
+    dim_w1_generic,
+    w1_of_phi,
+    w_minus_of_phi,
+)
+from involutive.involutivity import (
+    _search_endovolutive,
+    build_b_array,
+    prolongation_dimension,
+)
+from involutive.linalg import format_rational
+from involutive.tableau import _find_generic_basis
+from conftest import make_310, staircase_corpus
 
 
 @pytest.fixture
@@ -81,6 +101,16 @@ class TestAnalyze:
         path.write_text("{}")
         assert main(["analyze", "--input", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_boolean_dimension_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"r": True, "n": 1, "presentation": "basis",
+                                    "basis": [[["1"]]]}))
+        assert main(["analyze", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: r: must be a positive integer"]
 
 
 class TestGnf:
@@ -171,6 +201,7 @@ class TestErrorContract:
         ["sample", "3", "2", "1", "--count", "50"],   # OracleDisagreement
         ["sample", "2", "1", "--set", ""],            # empty coefficient set
         ["sample", "2", "1", "--count", "x"],         # argparse rejection
+        ["sample", "3", "1", "0", "--count", "-5"],   # negative count
     ])
     def test_one_line_exit_two(self, argv, tmp_path):
         src = os.path.dirname(os.path.dirname(involutive.__file__))
@@ -183,3 +214,97 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "error:" in lines[0]
+
+
+# The characters and gnf commands as they assembled the pipeline from
+# private stages before they ran the public find_generic_basis and
+# cartan_test: the reference for the rerouted commands.
+
+def _assembled_basis(tab, args):
+    dim_a1, _ = prolongation_dimension(tab)
+    basis, chars, reduced = _find_generic_basis(tab, args.seed, args.trials,
+                                                dim_a1)
+    return basis, chars, dim_a1 == chars.cartan_bound, reduced
+
+
+def _assembled_characters(args) -> int:
+    tab = load_document(args.input).tableau()
+    basis, chars, certified, _ = _assembled_basis(tab, args)
+    print(f"characters: {' '.join(str(x) for x in chars.s)}")
+    print(cli._certified_line(certified))
+    print(f"dim A = {chars.dim}")
+    print(f"dim H^1 = {tab.r * tab.n - chars.dim}")
+    print("generic basis used:")
+    cli._print_basis(basis)
+    return 0
+
+
+def _assembled_gnf(args) -> int:
+    tab = load_document(args.input).tableau()
+    basis, chars, certified, reduced = _assembled_basis(tab, args)
+    found = _search_endovolutive(tab, basis, reduced)
+    if found is None:
+        print("endovolutive search inconclusive; normal form unavailable")
+        return 2
+    barr = build_b_array(found[1])
+    phi = cli._parse_rational_list(args.phi, "--phi")
+    if len(phi) < tab.n:
+        phi = phi + [Fraction(0)] * (tab.n - len(phi))
+    try:
+        wm = w_minus_of_phi(barr, phi)
+        w1 = w1_of_phi(barr, phi)
+    except ZeroCovector as exc:
+        print(f"error: --phi: {exc}", file=sys.stderr)
+        return 2
+    print(f"characters: {' '.join(str(x) for x in chars.s)}")
+    print(cli._certified_line(certified))
+    print(f"W^-(phi): dim {wm.dim}, basis "
+          f"{[[format_rational(e) for e in v.entries()] for v in wm.basis]}")
+    print(f"W^1(phi): dim {w1.dim}, basis "
+          f"{[[format_rational(e) for e in v.entries()] for v in w1.basis]}")
+    print(f"generic dim W^1 = {dim_w1_generic(barr, seed=args.seed)} "
+          f"(s_ell = {chars.s[chars.ell - 1] if chars.ell else 0})")
+    ok, witness = check_gnf_commutativity(barr, phi)
+    print(f"endomorphism + commutativity on W^1(phi): "
+          f"{'pass' if ok else 'FAIL'}")
+    if not ok:
+        print(f"  witness: {witness}")
+    return 0
+
+
+_ASSEMBLED = {"characters": _assembled_characters, "gnf": _assembled_gnf}
+
+
+def _run(func, argv, capsys):
+    try:
+        code = func(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestReroutedCommands:
+    def test_match_the_assembled_pipeline(self, tmp_path, capsys):
+        tabs = (staircase_corpus(3, 10, "random")
+                + staircase_corpus(3, 6, "rows") + [Tableau.zero(3, 2)])
+        seen = set()
+        for k, tab in enumerate(tabs):
+            path = tmp_path / f"{k}.json"
+            path.write_text(json.dumps(
+                {"r": tab.r, "n": tab.n, "presentation": "basis",
+                 "basis": [matrix_to_lists(m) for m in tab.span]}))
+            phis = ["0", "1", ",".join(str(j + 1) for j in range(tab.n))]
+            for argv in ([["characters"]]
+                         + [["gnf", "--phi", phi] for phi in phis]):
+                argv = argv + ["--input", str(path), "--seed", str(k)]
+                new = _run(main, argv, capsys)
+                old = _run(lambda a: _ASSEMBLED[a[0]](
+                    build_parser().parse_args(a)), argv, capsys)
+                assert new == old, argv
+                seen.add(new[0])
+                if "inconclusive" in new[1]:
+                    seen.add("inconclusive")
+                if "no component in U*" in new[2]:
+                    seen.add("zero tableau")
+        assert {0, 2, "inconclusive", "zero tableau"} <= seen

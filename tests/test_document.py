@@ -112,6 +112,28 @@ class TestTopLevelValidation:
             document_from_dict(data)
 
 
+class TestBooleansRejected:
+    # JSON true and false load as bool, which Python counts as an int
+    @pytest.mark.parametrize("make, path, value, field", [
+        (basis_doc, ["r"], True, "r"),
+        (basis_doc, ["n"], True, "n"),
+        (coeff_doc, ["characters"], [True, False], "characters"),
+        (coeff_doc, ["coefficients", 0, "a"], True, r"coefficients\[0\]\.a"),
+        (coeff_doc, ["coefficients", 0, "lambda"], True,
+         r"coefficients\[0\]\.lambda"),
+        (coeff_doc, ["coefficients", 0, "i"], True, r"coefficients\[0\]\.i"),
+        (coeff_doc, ["coefficients", 0, "b"], True, r"coefficients\[0\]\.b"),
+    ], ids=["r", "n", "characters", "a", "lambda", "i", "b"])
+    def test_names_the_field(self, make, path, value, field):
+        data = make()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(DocumentError, match=rf"^{field}: "):
+            document_from_dict(data)
+
+
 class TestFiles:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DocumentError, match="cannot read"):
