@@ -27,10 +27,12 @@ from .tableau import (  # noqa: F401
 )
 from .involutivity import (  # noqa: F401
     BArray,
+    CoefficientVariable,
     InvolutivityReport,
     QuadraticViolation,
     build_b_array,
     cartan_test,
+    coefficient_variables,
     is_endovolutive,
     prolongation_dimension,
     quadratic_criterion,
@@ -51,9 +53,7 @@ from .guillemin import (  # noqa: F401
 )
 from .moduli import (  # noqa: F401
     CensusTooLarge,
-    CoefficientVariable,
     IdealGenerator,
-    coefficient_variables,
     enumerate_census,
     export_ideal,
     sample_involutive,

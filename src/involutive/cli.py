@@ -4,7 +4,8 @@ Subcommands: characters, analyze, gnf, ideal, sample, census.
 Exit codes for ``analyze``: 0 = involutive, 1 = not involutive,
 2 = error or inconclusive endovolutivity search (the oracle verdict is
 still printed in that case).  Every command reports an error as one
-line on stderr and exit code 2, never as a traceback.
+line on stderr and exit code 2, never as a traceback; a closed stdout
+ends a command silently with exit code 2.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def cmd_analyze(args) -> int:
         print(f"dim A^(1) = {report.dim_A1}, bound = {report.cartan_bound}")
         print(f"involutive (oracle): {'yes' if report.involutive else 'no'}")
         if report.endovolutive_inconclusive:
-            print("endovolutive: inconclusive (search exhausted)")
+            print("endovolutive: inconclusive")
         else:
             print(f"endovolutive: {'yes' if report.endovolutive else 'no'}")
             print(f"quadratic violations ({args.variant} variant): "
@@ -247,7 +248,7 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser whose errors are one line on stderr, exit code 2."""
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed: devnull keeps the flush at exit quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except DocumentError as exc:
         message = str(exc)
     except Exception as exc:  # the CLI boundary: one line, never a traceback

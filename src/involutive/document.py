@@ -85,8 +85,9 @@ def document_from_dict(data: dict) -> TableauDocument:
             chars.require_staircase()
         except ValueError as exc:
             raise DocumentError(f"characters: {exc}") from None
-        coeffs = {}
-        for ci, rec in enumerate(data.get("coefficients", [])):
+        coeffs, recs = {}, data.get("coefficients", [])
+        _require(isinstance(recs, list), "coefficients", "must be a list")
+        for ci, rec in enumerate(recs):
             field = f"coefficients[{ci}]"
             _require(isinstance(rec, dict), field, "must be an object")
             for key in ("a", "lambda", "i", "b", "value"):

@@ -7,19 +7,21 @@ Two independent routes decide involutivity:
 * for an endovolutive presentation, the reduced wedge conditions --
   whose leading terms are the block commutators
   B^lam_i B^mu_j - B^lam_j B^mu_i on rows below s_i -- decide the same
-  question without prolonging.
+  question without prolonging; the criterion and ``moduli`` evaluate
+  them as the polynomials of ``symbolic_conditions``.
 
 Both are exact; ``cartan_test`` runs both and reports everything.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import (RatMatrix, _denominator_lcm, _integer_rows,
-                     _pivot_columns, _rank)
+                     _pivot_columns, _rank, format_rational)
 from .tableau import (
     BasisPair,
     CartanCharacters,
@@ -45,8 +47,9 @@ class BArray:
 
     Diagonal blocks carry the identity on the first s_lam coordinates;
     block (lam, i) with i < lam is zero.  Blocks are RatMatrix, except in
-    ``moduli.symbolic_b_array``, whose blocks are the nested lists of
-    ``staircase_blocks`` with polynomial entries.
+    ``symbolic_b_array``, whose blocks are the nested lists of
+    ``staircase_blocks`` with polynomial entries: the only blocks that
+    ``reduced_conditions`` is run on.
     """
 
     r: int
@@ -136,7 +139,6 @@ class QuadraticViolation:
     value: Fraction
 
     def as_dict(self) -> dict:
-        from .linalg import format_rational
         return {"lambda": self.lam, "mu": self.mu, "i": self.i, "j": self.j,
                 "a": self.a, "b": self.b, "value": format_rational(self.value)}
 
@@ -207,18 +209,15 @@ def reduced_conditions(barr: BArray) -> dict:
     the r x r coefficient matrix, already restricted to rows a > s_i and
     omitting identically-zero coefficients.
 
-    Only ring operations are used, so the blocks may also be r x r
-    nested lists of polynomials (``moduli.symbolic_b_array``); the
-    coefficient matrices are then nested lists too, with 0 for zero
-    entries.
+    The blocks are r x r nested lists of ring elements, as
+    ``staircase_blocks`` builds them; so are the coefficient matrices,
+    with 0 for zero entries.  ``symbolic_conditions`` runs it on
+    polynomial blocks, and no numeric caller runs it on ``RatMatrix``
+    blocks: each evaluates those polynomials instead.
     """
     s = barr.characters.s
     r, n, ell = barr.r, barr.n, barr.ell
-    if not ell:
-        return {}
-    numeric = isinstance(barr.block(1, 1), RatMatrix)
-    rows = {(lam, i): (barr.block(lam, i).row_list() if numeric
-                       else barr.block(lam, i))
+    rows = {(lam, i): barr.block(lam, i)
             for lam in range(1, ell + 1) for i in range(lam, n + 1)}
     ctx = (s, r, ell, rows, {})
 
@@ -230,10 +229,152 @@ def reduced_conditions(barr: BArray) -> dict:
                 # B^lam_i B^mu_j - B^lam_j B^mu_i
                 below = [[-v for v in row] for row in mat[s[i - 1]:]]
                 if any(any(row) for row in below):
-                    cond = _zero_rows(s[i - 1], r) + below
-                    out[(lam, mu, i, j)] = (RatMatrix.from_rows(cond)
-                                            if numeric else cond)
+                    out[(lam, mu, i, j)] = _zero_rows(s[i - 1], r) + below
     return out
+
+
+@dataclass(frozen=True, order=True)
+class CoefficientVariable:
+    """A free endovolutive coefficient slot B^{a,lam}_{i,b}."""
+
+    a: int
+    lam: int
+    i: int
+    b: int
+
+    def name(self) -> str:
+        return f"B[{self.a},{self.lam},{self.i},{self.b}]"
+
+    @property
+    def key(self) -> tuple[int, int, int, int]:
+        return (self.a, self.lam, self.i, self.b)
+
+
+def coefficient_variables(chars: CartanCharacters) -> list[CoefficientVariable]:
+    """Free slots of the endovolutive staircase: lam < i, b <= s_lam,
+    s_i < a <= s_lam."""
+    chars.require_staircase()
+    s = chars.s
+    out = []
+    for lam in range(1, chars.ell + 1):
+        for i in range(lam + 1, chars.n + 1):
+            s_i = s[i - 1]
+            for a in range(s_i + 1, s[lam - 1] + 1):
+                for b in range(1, s[lam - 1] + 1):
+                    out.append(CoefficientVariable(a, lam, i, b))
+    return out
+
+
+class Poly:
+    """Sparse polynomial: {monomial: coefficient}, a monomial being a
+    sorted tuple of variable indices (the empty tuple is the constant
+    term).  The integer 0 acts as the zero polynomial in sums, so
+    ``reduced_conditions`` can run on polynomial blocks."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other) -> "Poly":
+        if not other:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                c = out.get(m, 0) + c1 * c2
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return Poly(out)
+
+
+def symbolic_b_array(chars: CartanCharacters,
+                     r: Optional[int] = None) -> BArray:
+    """The B-array with every free slot a variable: the entry of
+    block (lam, i) at (a, b) is the polynomial of variable k, where
+    ``coefficient_variables(chars)[k]`` is B^{a,lam}_{i,b}."""
+    if r is None:
+        r = chars.s[0] if chars.s else 0
+    index = {v.key: k for k, v in enumerate(coefficient_variables(chars))}
+    if chars.s and chars.s[0] > r:
+        raise ValueError("s_1 exceeds dim W")
+
+    def coefficient(*key):
+        return Poly({(index[key],): 1}) if key in index else 0
+
+    return BArray(r, chars,
+                  staircase_blocks(chars, r, coefficient, Poly({(): 1})))
+
+
+def symbolic_conditions(chars: CartanCharacters, variant: str = "theorem",
+                        r: Optional[int] = None) -> list[tuple[tuple, Poly]]:
+    """The nonzero entries of ``reduced_conditions`` on the symbolic
+    B-array, as ((lam, mu, i, j, a, b), polynomial) in the order
+    lam, i, j, mu, a, b; the variant selects the mu range as in
+    ``quadratic_criterion``.  Each entry evaluated at an assignment is
+    the numeric entry of the criterion there, since only ring
+    operations build it."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    conds = reduced_conditions(symbolic_b_array(chars, r))
+    out = []
+    for lam, mu, i, j in sorted(conds, key=lambda k: (k[0], k[2], k[3], k[1])):
+        if variant == "theorem" and mu >= j:
+            continue
+        for a, row in enumerate(conds[(lam, mu, i, j)], start=1):
+            for b, p in enumerate(row, start=1):
+                if p:
+                    out.append(((lam, mu, i, j, a, b), p))
+    return out
+
+
+def _whole(v: Fraction):
+    """``v`` as an int when it is one: evaluation runs faster on ints."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _evaluate(conditions: list, values: Sequence):
+    """Value of each ``symbolic_conditions`` entry at ``values`` (indexed
+    like ``coefficient_variables``): the criterion's entries there."""
+    for _, p in conditions:
+        total = 0
+        for mono, c in p.terms.items():
+            for k in mono:
+                c *= values[k]
+            total += c
+        yield total
+
+
+@functools.lru_cache(maxsize=128)  # (characters, variant) pairs
+def _compiled_conditions(s: tuple, variant: str) -> tuple:
+    """(free slot keys, ``symbolic_conditions`` sorted by key).  With
+    r = s_1 nothing is lost: an endovolutive block vanishes outside its
+    s_lam corner, so no condition entry outside s_1 x s_1 is nonzero."""
+    chars = CartanCharacters(s)
+    return (tuple(v.key for v in coefficient_variables(chars)),
+            tuple(sorted(symbolic_conditions(chars, variant),
+                         key=lambda entry: entry[0])))
 
 
 def quadratic_criterion(barr: BArray,
@@ -246,22 +387,20 @@ def quadratic_criterion(barr: BArray,
     entry on rows a > s_i is reported.  The variant selects the mu
     range enumerated: "theorem" stops at mu < j, "proof" includes
     mu = j.  Both verdicts match the prolongation oracle on
-    presentations whose declared basis is generic.
+    presentations whose declared basis is generic.  The entries are
+    ``symbolic_conditions``, compiled once per characters and variant,
+    evaluated at the array's free slots.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not barr.is_endovolutive():
         raise NotEndovolutive("quadratic criterion needs an endovolutive array")
-    out = []
-    for (lam, mu, i, j), mat in sorted(reduced_conditions(barr).items()):
-        if variant == "theorem" and mu >= j:
-            continue
-        for a in range(1, barr.r + 1):
-            for b in range(1, barr.r + 1):
-                v = mat[a - 1, b - 1]
-                if v != 0:
-                    out.append(QuadraticViolation(lam, mu, i, j, a, b, v))
-    return out
+    slots, conditions = _compiled_conditions(barr.characters.s, variant)
+    values = [_whole(barr.block(lam, i)[a - 1, b - 1])
+              for a, lam, i, b in slots]
+    return [QuadraticViolation(*key, Fraction(v))
+            for (key, _), v in zip(conditions, _evaluate(conditions, values))
+            if v]
 
 
 def prolongation_dimension(tab: Tableau) -> tuple[int, int]:

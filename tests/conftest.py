@@ -7,6 +7,9 @@ the r=3, characters (3,2,1) family with named slots P*, Q*, R*, T*.
 ``staircase_corpus`` draws seeded tableaux of every small shape.
 ``fraction_reduction`` and ``fraction_extraction`` are references
 computed with ``Fraction`` products, ``rref`` and ``invert``.
+``nested_b_array`` is the B-array of a presentation with nested
+``Fraction`` lists as blocks, the numeric input of
+``reduced_conditions``.
 """
 
 import random
@@ -22,6 +25,7 @@ from involutive import (
     Tableau,
     tableau_from_coefficients,
 )
+from involutive.involutivity import BArray, staircase_blocks
 from involutive.linalg import (
     SingularMatrix,
     invert,
@@ -64,6 +68,13 @@ def make_321(P1=0, P2=0, P3=0, Q4=0, Q5=0,
         (2, 1, 3, 3): Fraction(T3),
     }
     return SymbolPresentation(3, chars, {k: v for k, v in coeffs.items() if v})
+
+
+def nested_b_array(pres) -> BArray:
+    """``build_b_array(pres)`` with nested ``Fraction`` lists as blocks."""
+    return BArray(pres.r, pres.characters,
+                  staircase_blocks(pres.characters, pres.r, pres.coefficient,
+                                   Fraction(1)))
 
 
 def staircase_corpus(seed, count, scramble=None):

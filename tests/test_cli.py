@@ -215,6 +215,24 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "error:" in lines[0]
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_closed_stdout_exits_two_silently(self, involutive_doc,
+                                              json_flag):
+        src = os.path.dirname(os.path.dirname(involutive.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "involutive.cli", "analyze",
+                 "--input", involutive_doc, *json_flag],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+
 
 # The characters and gnf commands as they assembled the pipeline from
 # private stages before they ran the public find_generic_basis and

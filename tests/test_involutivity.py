@@ -24,7 +24,7 @@ from involutive import (
 )
 from involutive import involutivity as involutivity_mod
 from involutive import tableau as tableau_mod
-from involutive.involutivity import NotEndovolutive
+from involutive.involutivity import VARIANTS, NotEndovolutive
 from involutive.linalg import (
     invert,
     kernel_basis,
@@ -40,6 +40,7 @@ from conftest import (
     fraction_reduction,
     make_310,
     make_321,
+    nested_b_array,
     spanning_variants,
     staircase_corpus,
 )
@@ -131,7 +132,7 @@ class TestQuadraticCriterion:
             assert bool(t) == bool(p)
 
     def test_reduced_conditions_leave_no_garbage(self):
-        barr = build_b_array(make_321(P1=2, Q4=1, R1=1, T2=3))
+        barr = nested_b_array(make_321(P1=2, Q4=1, R1=1, T2=3))
         gc.collect()
         gc.disable()
         try:
@@ -144,14 +145,42 @@ class TestQuadraticCriterion:
         # With a single dependent column pair the coefficient is exactly
         # the commutator B^lam_i B^mu_j - B^lam_j B^mu_i.
         barr = build_b_array(make_310(T2=2, R3=5))
-        conds = reduced_conditions(barr)
+        conds = reduced_conditions(nested_b_array(make_310(T2=2, R3=5)))
         comm = (barr.block(1, 2) @ barr.block(1, 3)
                 - barr.block(1, 3) @ barr.block(1, 2))
         mat = conds[(1, 1, 2, 3)]
         s2 = barr.characters.s[1]
         for a in range(s2, barr.r):
             for b in range(barr.r):
-                assert mat[a, b] == comm[a, b]
+                assert mat[a][b] == comm[a, b]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_compiled_matches_nested_fraction_reference(self, variant):
+        # The criterion evaluates the compiled symbolic conditions; the
+        # reference runs the same recursion on nested Fraction blocks.
+        rng = random.Random(53)
+        presentations = [report.presentation for report in
+                         map(cartan_test, staircase_corpus(31, 40))
+                         if report.presentation is not None]
+        for _ in range(40):
+            chars, r = random_staircase(rng)
+            asg = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                   for v in coefficient_variables(chars)}
+            presentations.append(presentation_from_assignment(chars, asg, r))
+        assert any(p.r > p.characters.s[0] for p in presentations)
+        flagged = 0
+        for pres in presentations:
+            conds = reduced_conditions(nested_b_array(pres))
+            want = [(key + (a, b), v) for key, mat in sorted(conds.items())
+                    if variant == "proof" or key[1] < key[3]
+                    for a, row in enumerate(mat, start=1)
+                    for b, v in enumerate(row, start=1) if v]
+            got = quadratic_criterion(build_b_array(pres), variant)
+            assert [((v.lam, v.mu, v.i, v.j, v.a, v.b), v.value)
+                    for v in got] == want
+            assert all(type(v.value) is Fraction for v in got)
+            flagged += bool(got)
+        assert 0 < flagged < len(presentations)
 
 
 class TestProlongationOracle:

@@ -30,6 +30,7 @@ from involutive.moduli import (
     symbolic_b_array,
     symbolic_conditions,
 )
+from conftest import nested_b_array
 
 # Character sets at n = 3, 4 and 5; the nested corrections of the
 # reduced conditions first appear at n = 4.
@@ -214,12 +215,12 @@ class TestSymbolicConditions:
             values = [Fraction(rng.randint(-2, 2)) for _ in variables]
             pres = presentation_from_assignment(
                 chars, dict(zip(variables, values)))
-            numeric = reduced_conditions(build_b_array(pres))
+            numeric = reduced_conditions(nested_b_array(pres))
             r = pres.r
             for key in set(symbolic) | set(numeric):
                 for a in range(r):
                     for b in range(r):
-                        want = numeric[key][a, b] if key in numeric else 0
+                        want = numeric[key][a][b] if key in numeric else 0
                         got = (_value(symbolic[key][a][b], values)
                                if key in symbolic else 0)
                         assert got == want, (key, a, b)
