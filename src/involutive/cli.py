@@ -227,7 +227,7 @@ def cmd_census(args) -> int:
     coeff_set = _parse_rational_list(args.set, "--set")
     try:
         rec = enumerate_census(chars, coeff_set, cap=args.cap)
-    except CensusTooLarge as exc:
+    except (CensusTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"characters: {' '.join(str(x) for x in rec.characters.s)} "

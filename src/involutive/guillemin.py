@@ -6,8 +6,9 @@ B(phi)(v), the rank-one locus W^1(phi), and the two structural checks
 (restricted endomorphism + commutator vanishing on W^1(phi), and the
 prolongation-restriction comparison).
 
-Everything is read off the blocks B^lam_i entry by entry: W^1(phi) is
-the kernel of one stacked system, whose rank gives its dimension, and
+Everything is read off the blocks B^lam_i entry by entry, as
+``block[a][b]`` of their nested ``Fraction`` lists: W^1(phi) is the
+kernel of one stacked system, whose rank gives its dimension, and
 commutators are tested on the images B(v)z, so no r x r product forms.
 """
 
@@ -111,12 +112,13 @@ def b_of_phi(barr: BArray, phi: Sequence[Fraction],
     are ignored, matching the quotient the B-array lives on.
     """
     terms = [(Fraction(phi[lam - 1]) * Fraction(v[i - 1]),
-              barr.block(lam, i).entries())
+              barr.block(lam, i))
              for lam in range(1, min(barr.ell, len(phi)) + 1)
              for i in range(1, min(barr.n, len(v)) + 1)
              if phi[lam - 1] and v[i - 1]]
-    return RatMatrix(barr.r, barr.r, [sum(c * e[k] for c, e in terms if e[k])
-                                      for k in range(barr.r * barr.r)])
+    r = barr.r
+    return RatMatrix(r, r, [sum(c * e[a][b] for c, e in terms if e[a][b])
+                            for a in range(r) for b in range(r)])
 
 
 def _w1_system(barr: BArray, phi: Sequence[Fraction]) -> RatMatrix:
@@ -130,11 +132,11 @@ def _w1_system(barr: BArray, phi: Sequence[Fraction]) -> RatMatrix:
         raise ZeroCovector("phi has no component in U*")
     ell, r = barr.ell, barr.r
     s_k = barr.characters.s[_leading_index(barr, phi[:ell]) - 1]
-    blocks = [[(c, barr.block(lam, mu).entries())
+    blocks = [[(c, barr.block(lam, mu))
                for lam, c in enumerate(phi[:ell], start=1) if c]
               for mu in range(1, ell + 1)]
     return RatMatrix.from_rows(
-        [[sum(c * e[a * r + b] for c, e in blocks[mu] if e[a * r + b])
+        [[sum(c * e[a][b] for c, e in blocks[mu] if e[a][b])
           - (phi[mu] if a == b else 0) for b in range(r)]
          for mu in range(ell) for a in range(r)]
         + [[int(a == b) for b in range(r)] for a in range(s_k, r)])

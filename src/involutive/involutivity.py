@@ -10,7 +10,10 @@ Two independent routes decide involutivity:
   question without prolonging; the criterion and ``moduli`` evaluate
   them as the polynomials of ``symbolic_conditions``.
 
-Both are exact; ``cartan_test`` runs both and reports everything.
+The B-array holds each block B^lam_i as one r x r nested list, with
+``Fraction`` entries for a presentation and polynomial entries for the
+symbolic array; every reader indexes ``block[a][b]``.  Both routes are
+exact; ``cartan_test`` runs both and reports everything.
 """
 
 from __future__ import annotations
@@ -46,10 +49,11 @@ class BArray:
     """ell x n grid of r x r symbol endomorphism blocks B^lam_i.
 
     Diagonal blocks carry the identity on the first s_lam coordinates;
-    block (lam, i) with i < lam is zero.  Blocks are RatMatrix, except in
-    ``symbolic_b_array``, whose blocks are the nested lists of
-    ``staircase_blocks`` with polynomial entries: the only blocks that
-    ``reduced_conditions`` is run on.
+    block (lam, i) with i < lam is zero.  Each block is the r x r nested
+    list that ``staircase_blocks`` builds, read as ``block[a][b]``:
+    ``Fraction`` entries from ``build_b_array``, ``Poly`` entries from
+    ``symbolic_b_array``, and the integer 0 for an empty slot.  No
+    reader mutates a block.
     """
 
     r: int
@@ -64,20 +68,14 @@ class BArray:
     def ell(self) -> int:
         return self.characters.ell
 
-    def block(self, lam: int, i: int) -> RatMatrix:
+    def block(self, lam: int, i: int) -> list:
         return self.blocks[lam - 1][i - 1]
 
     def is_endovolutive(self) -> bool:
         """Every block in row lam vanishes outside its s_lam x s_lam corner."""
-        s = self.characters.s
-        for lam in range(1, self.ell + 1):
-            for i in range(1, self.n + 1):
-                blk = self.block(lam, i)
-                for a in range(self.r):
-                    for b in range(self.r):
-                        if (a >= s[lam - 1] or b >= s[lam - 1]) and blk[a, b] != 0:
-                            return False
-        return True
+        return not any(any(line[k:] if a < k else line)
+                       for k, row in zip(self.characters.s, self.blocks)
+                       for blk in row for a, line in enumerate(blk))
 
 
 def staircase_blocks(chars: CartanCharacters, r: int, coefficient,
@@ -106,10 +104,8 @@ def staircase_blocks(chars: CartanCharacters, r: int, coefficient,
 
 def build_b_array(p: SymbolPresentation) -> BArray:
     """Assemble the B-array, inserting identities on diagonal blocks."""
-    grid = staircase_blocks(p.characters, p.r, p.coefficient, Fraction(1))
-    return BArray(p.r, p.characters,
-                  tuple([tuple([RatMatrix.from_rows(m) for m in row])
-                         for row in grid]))
+    return BArray(p.r, p.characters, staircase_blocks(
+        p.characters, p.r, p.coefficient, Fraction(1)))
 
 
 def is_endovolutive(p: SymbolPresentation):
@@ -209,11 +205,11 @@ def reduced_conditions(barr: BArray) -> dict:
     the r x r coefficient matrix, already restricted to rows a > s_i and
     omitting identically-zero coefficients.
 
-    The blocks are r x r nested lists of ring elements, as
-    ``staircase_blocks`` builds them; so are the coefficient matrices,
-    with 0 for zero entries.  ``symbolic_conditions`` runs it on
-    polynomial blocks, and no numeric caller runs it on ``RatMatrix``
-    blocks: each evaluates those polynomials instead.
+    The blocks are ``BArray`` blocks of any ring; so are the
+    coefficient matrices, with 0 for zero entries.
+    ``symbolic_conditions`` runs it on polynomial blocks, and the
+    numeric callers evaluate those polynomials instead of running it on
+    ``Fraction`` blocks.
     """
     s = barr.characters.s
     r, n, ell = barr.r, barr.n, barr.ell
@@ -309,16 +305,16 @@ class Poly:
         return Poly(out)
 
 
-def symbolic_b_array(chars: CartanCharacters,
-                     r: Optional[int] = None) -> BArray:
+def symbolic_b_array(chars: CartanCharacters) -> BArray:
     """The B-array with every free slot a variable: the entry of
     block (lam, i) at (a, b) is the polynomial of variable k, where
-    ``coefficient_variables(chars)[k]`` is B^{a,lam}_{i,b}."""
-    if r is None:
-        r = chars.s[0] if chars.s else 0
+    ``coefficient_variables(chars)[k]`` is B^{a,lam}_{i,b}.
+
+    Its r is s_1, and nothing is lost for a larger r: an endovolutive
+    block vanishes outside its s_lam x s_lam corner, so no condition
+    entry outside s_1 x s_1 is nonzero."""
+    r = chars.s[0] if chars.s else 0
     index = {v.key: k for k, v in enumerate(coefficient_variables(chars))}
-    if chars.s and chars.s[0] > r:
-        raise ValueError("s_1 exceeds dim W")
 
     def coefficient(*key):
         return Poly({(index[key],): 1}) if key in index else 0
@@ -327,8 +323,8 @@ def symbolic_b_array(chars: CartanCharacters,
                   staircase_blocks(chars, r, coefficient, Poly({(): 1})))
 
 
-def symbolic_conditions(chars: CartanCharacters, variant: str = "theorem",
-                        r: Optional[int] = None) -> list[tuple[tuple, Poly]]:
+def symbolic_conditions(chars: CartanCharacters,
+                        variant: str = "theorem") -> list[tuple[tuple, Poly]]:
     """The nonzero entries of ``reduced_conditions`` on the symbolic
     B-array, as ((lam, mu, i, j, a, b), polynomial) in the order
     lam, i, j, mu, a, b; the variant selects the mu range as in
@@ -337,7 +333,7 @@ def symbolic_conditions(chars: CartanCharacters, variant: str = "theorem",
     operations build it."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    conds = reduced_conditions(symbolic_b_array(chars, r))
+    conds = reduced_conditions(symbolic_b_array(chars))
     out = []
     for lam, mu, i, j in sorted(conds, key=lambda k: (k[0], k[2], k[3], k[1])):
         if variant == "theorem" and mu >= j:
@@ -368,9 +364,7 @@ def _evaluate(conditions: list, values: Sequence):
 
 @functools.lru_cache(maxsize=128)  # (characters, variant) pairs
 def _compiled_conditions(s: tuple, variant: str) -> tuple:
-    """(free slot keys, ``symbolic_conditions`` sorted by key).  With
-    r = s_1 nothing is lost: an endovolutive block vanishes outside its
-    s_lam corner, so no condition entry outside s_1 x s_1 is nonzero."""
+    """(free slot keys, ``symbolic_conditions`` sorted by key)."""
     chars = CartanCharacters(s)
     return (tuple(v.key for v in coefficient_variables(chars)),
             tuple(sorted(symbolic_conditions(chars, variant),
@@ -396,7 +390,7 @@ def quadratic_criterion(barr: BArray,
     if not barr.is_endovolutive():
         raise NotEndovolutive("quadratic criterion needs an endovolutive array")
     slots, conditions = _compiled_conditions(barr.characters.s, variant)
-    values = [_whole(barr.block(lam, i)[a - 1, b - 1])
+    values = [_whole(barr.block(lam, i)[a - 1][b - 1])
               for a, lam, i, b in slots]
     return [QuadraticViolation(*key, Fraction(v))
             for (key, _), v in zip(conditions, _evaluate(conditions, values))

@@ -358,53 +358,20 @@ def invert(m: RatMatrix) -> RatMatrix:
     return r.select_columns(range(m.cols, 2 * m.cols))
 
 
-def random_matrix(rows: int, cols: int, rng: random.Random,
-                  bound: int = 9) -> RatMatrix:
-    return RatMatrix(rows, cols,
-                     [rng.randint(-bound, bound) for _ in range(rows * cols)])
-
-
-def random_invertible(dim: int, seed: int = 0, bound: int = 9) -> RatMatrix:
-    """Deterministic seeded invertible integer matrix, entries in [-bound, bound]."""
-    rng = random.Random(seed)
-    return random_invertible_rng(dim, rng, bound)
-
-
-def random_invertible_rng(dim: int, rng: random.Random,
-                          bound: int = 9) -> RatMatrix:
-    """First invertible draw of ``random_matrix(dim, dim, rng, bound)``."""
-    rows = _random_invertible_rows(dim, rng, bound)
-    return RatMatrix(dim, dim, [e for row in rows for e in row])
-
-
 def _random_invertible_rows(dim: int, rng: random.Random,
                             bound: int = 9) -> list[list[int]]:
-    """``random_invertible_rng``'s draw, as integer rows.
+    """The first seeded draw of dim x dim integers in [-bound, bound],
+    row by row, that is invertible, as integer rows.
 
-    The entries are drawn in ``random_matrix``'s order.  Full rank mod p
-    proves invertibility; only a draw that is singular mod p is ranked
-    exactly, so the accepted draws are those of an exact rank test.
+    Full rank mod p proves invertibility; only a draw that is singular
+    mod p is ranked exactly, so the accepted draws are those of an
+    exact rank test.
     """
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(dim)]
                 for _ in range(dim)]
         if len(pivot_columns_mod_p(rows)) == dim or _rank(rows) == dim:
             return rows
-
-
-def random_unit_upper_triangular(dim: int, rng: random.Random,
-                                 bound: int = 9) -> RatMatrix:
-    """Unit upper-triangular integer matrix (a Borel change of basis)."""
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                entries.append(1)
-            elif j > i:
-                entries.append(rng.randint(-bound, bound))
-            else:
-                entries.append(0)
-    return RatMatrix(dim, dim, entries)
 
 
 def parse_rational(text: str) -> Fraction:

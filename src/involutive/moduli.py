@@ -5,10 +5,13 @@ formal variables.  ``involutivity.symbolic_conditions`` gives the
 criterion's conditions as polynomials in them: degree-2 commutator
 terms plus, from n = 4 on, nested corrections of higher degree.  This
 module exports those polynomials as an ideal, samples assignments that
-land on its variety, and exhaustively enumerates small censuses.  The
-sampler and the census compile the polynomials once per call and
+land on its variety, and exhaustively enumerates small censuses, all
+at r = s_1: a larger r changes no condition (``symbolic_b_array``).
+The sampler and the census compile the polynomials once per call and
 evaluate them per assignment, as the criterion does; every kept sample
-is still cross-checked against the prolongation oracle.
+is still cross-checked against the prolongation oracle.  The census
+refuses a coefficient set that repeats a value; the sampler reads a
+repeat as a weight on its draw.
 
 Polynomials are plain expanded term maps (``Poly``: monomial tuple ->
 coefficient), no CAS involved.  Variable naming in exports is
@@ -77,22 +80,20 @@ class IdealGenerator:
         return " ".join(parts)
 
 
-def export_ideal(chars: CartanCharacters, variant: str = "theorem",
-                 r: Optional[int] = None) -> list[IdealGenerator]:
+def export_ideal(chars: CartanCharacters,
+                 variant: str = "theorem") -> list[IdealGenerator]:
     """The reduced conditions of the quadratic criterion as polynomials.
 
     Each generator is one entry of ``reduced_conditions`` on the
     symbolic B-array: a leading commutator entry plus, from n = 4 on,
     the nested correction terms, so degrees can exceed 2.  Returns the
     distinct nonzero polynomials in a stable order, deterministic in
-    count and content.  ``r`` defaults to s_1, which captures every
-    condition (rows past s_1 are identically zero for endovolutive
-    arrays).
+    count and content.
     """
     variables = coefficient_variables(chars)
     seen = set()
     out = []
-    for _, p in symbolic_conditions(chars, variant, r):
+    for _, p in symbolic_conditions(chars, variant):
         gen = IdealGenerator.from_poly(
             {tuple(sorted(variables[k] for k in m)): Fraction(c)
              for m, c in p.terms.items()})
@@ -123,25 +124,26 @@ def _verify_with_oracle(pres: SymbolPresentation, criterion_empty: bool):
 
 def sample_involutive(chars: CartanCharacters, seed: int = 0, count: int = 10,
                       coefficient_set: Sequence = (-1, 0, 1),
-                      r: Optional[int] = None,
                       variant: str = "theorem") -> list[SymbolPresentation]:
     """Seeded random assignments kept when the criterion reports involutive.
 
-    Every kept sample is cross-validated against the prolongation
-    oracle; a mismatch raises OracleDisagreement.  Returns up to
-    ``count`` presentations (one draw per requested sample).
+    Each slot is drawn uniformly from ``coefficient_set``, so a repeated
+    value weights the draw.  Every kept sample (r = s_1) is
+    cross-validated against the prolongation oracle; a mismatch raises
+    OracleDisagreement.  Returns up to ``count`` presentations (one draw
+    per requested sample).
     """
     rng = random.Random(seed)
     variables = coefficient_variables(chars)
     pool = [Fraction(c) for c in coefficient_set]
-    conditions = symbolic_conditions(chars, variant, r)
+    conditions = symbolic_conditions(chars, variant)
     kept = []
     for _ in range(count):
         values = [rng.choice(pool) for _ in variables]
         if any(_evaluate(conditions, [_whole(v) for v in values])):
             continue
         pres = presentation_from_assignment(
-            chars, dict(zip(variables, values)), r)
+            chars, dict(zip(variables, values)))
         _verify_with_oracle(pres, True)
         kept.append(pres)
     return kept
@@ -168,18 +170,21 @@ class CensusRecord:
 
 
 def enumerate_census(chars: CartanCharacters, coefficient_set: Sequence,
-                     cap: int, r: Optional[int] = None,
-                     variant: str = "theorem") -> CensusRecord:
-    """Exhaustive loop with exact filtering; refuses runs larger than cap."""
+                     cap: int, variant: str = "theorem") -> CensusRecord:
+    """Exhaustive loop with exact filtering, at r = s_1; refuses runs
+    larger than cap, and a coefficient set that repeats a value, which
+    would count each assignment more than once."""
     variables = coefficient_variables(chars)
     pool = [Fraction(c) for c in coefficient_set]
+    for k, c in enumerate(pool):
+        if c in pool[:k]:
+            raise ValueError(
+                f"coefficient set repeats the value {format_rational(c)}")
     total = len(pool) ** len(variables)
     if total > cap:
         raise CensusTooLarge(
             f"{total} assignments exceed the cap of {cap}")
-    if r is None:
-        r = chars.s[0] if chars.s else 0
-    conditions = symbolic_conditions(chars, variant, r)
+    conditions = symbolic_conditions(chars, variant)
     involutive = 0
     histogram: dict[int, int] = {}
     for values in itertools.product([_whole(v) for v in pool],
@@ -190,7 +195,7 @@ def enumerate_census(chars: CartanCharacters, coefficient_set: Sequence,
             involutive += 1
     return CensusRecord(
         characters=chars,
-        r=r,
+        r=chars.s[0] if chars.s else 0,
         coefficient_set=tuple(pool),
         variable_count=len(variables),
         total_assignments=total,

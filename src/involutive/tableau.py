@@ -325,7 +325,7 @@ def _candidates(r: int, n: int, seed: int, trials: int):
     """The identity pair, then ``trials`` seeded random pairs, drawn lazily.
 
     A pair (P, Q) is two lists of integer rows; the random ones are the
-    draws of ``random_invertible_rng``.
+    draws of ``_random_invertible_rows``.
     """
     yield ([[int(i == j) for j in range(r)] for i in range(r)],
            [[int(i == j) for j in range(n)] for i in range(n)])

@@ -7,9 +7,9 @@ the r=3, characters (3,2,1) family with named slots P*, Q*, R*, T*.
 ``staircase_corpus`` draws seeded tableaux of every small shape.
 ``fraction_reduction`` and ``fraction_extraction`` are references
 computed with ``Fraction`` products, ``rref`` and ``invert``.
-``nested_b_array`` is the B-array of a presentation with nested
-``Fraction`` lists as blocks, the numeric input of
-``reduced_conditions``.
+``random_matrix``, ``random_invertible``, ``random_invertible_rng``
+and ``random_unit_upper_triangular`` draw seeded integer matrices for
+the tests; the search itself draws with ``_random_invertible_rows``.
 """
 
 import random
@@ -25,11 +25,10 @@ from involutive import (
     Tableau,
     tableau_from_coefficients,
 )
-from involutive.involutivity import BArray, staircase_blocks
 from involutive.linalg import (
     SingularMatrix,
+    _random_invertible_rows,
     invert,
-    random_invertible_rng,
     rref,
 )
 from involutive.tableau import NonGenericBasis
@@ -70,11 +69,38 @@ def make_321(P1=0, P2=0, P3=0, Q4=0, Q5=0,
     return SymbolPresentation(3, chars, {k: v for k, v in coeffs.items() if v})
 
 
-def nested_b_array(pres) -> BArray:
-    """``build_b_array(pres)`` with nested ``Fraction`` lists as blocks."""
-    return BArray(pres.r, pres.characters,
-                  staircase_blocks(pres.characters, pres.r, pres.coefficient,
-                                   Fraction(1)))
+def random_matrix(rows: int, cols: int, rng: random.Random,
+                  bound: int = 9) -> RatMatrix:
+    return RatMatrix(rows, cols,
+                     [rng.randint(-bound, bound) for _ in range(rows * cols)])
+
+
+def random_invertible(dim: int, seed: int = 0, bound: int = 9) -> RatMatrix:
+    """Deterministic seeded invertible integer matrix, entries in [-bound, bound]."""
+    rng = random.Random(seed)
+    return random_invertible_rng(dim, rng, bound)
+
+
+def random_invertible_rng(dim: int, rng: random.Random,
+                          bound: int = 9) -> RatMatrix:
+    """First invertible draw of ``random_matrix(dim, dim, rng, bound)``."""
+    rows = _random_invertible_rows(dim, rng, bound)
+    return RatMatrix(dim, dim, [e for row in rows for e in row])
+
+
+def random_unit_upper_triangular(dim: int, rng: random.Random,
+                                 bound: int = 9) -> RatMatrix:
+    """Unit upper-triangular integer matrix (a Borel change of basis)."""
+    entries = []
+    for i in range(dim):
+        for j in range(dim):
+            if i == j:
+                entries.append(1)
+            elif j > i:
+                entries.append(rng.randint(-bound, bound))
+            else:
+                entries.append(0)
+    return RatMatrix(dim, dim, entries)
 
 
 def staircase_corpus(seed, count, scramble=None):

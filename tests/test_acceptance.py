@@ -32,9 +32,10 @@ from involutive import (
     w1_of_phi,
 )
 from involutive.involutivity import VARIANTS
-from involutive.linalg import RatMatrix, random_matrix, random_unit_upper_triangular
+from involutive.linalg import RatMatrix
 from involutive.moduli import presentation_from_assignment
-from conftest import make_310, make_321
+from conftest import (make_310, make_321, random_matrix,
+                      random_unit_upper_triangular)
 
 DEFAULT_VARIANT = "theorem"
 POOL_TARGET = 500
@@ -109,7 +110,8 @@ def test_criterion_2_three_two_one_example(capsys):
         (2, 3): RatMatrix.from_rows([[0, 0, 0], [1, 2, 0], [0, 0, 0]]),
         (3, 3): RatMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
     }
-    blocks_ok = all(barr.block(lam, i) == m for (lam, i), m in expected.items())
+    blocks_ok = all(RatMatrix.from_rows(barr.block(lam, i)) == m
+                    for (lam, i), m in expected.items())
     endo_ok = is_endovolutive(pres)[0] and barr.is_endovolutive()
     ok = chars.s == (3, 2, 1) and blocks_ok and endo_ok
     _emit(capsys, 2, ok,

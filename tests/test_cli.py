@@ -202,13 +202,14 @@ class TestErrorContract:
         ["sample", "2", "1", "--set", ""],            # empty coefficient set
         ["sample", "2", "1", "--count", "x"],         # argparse rejection
         ["sample", "3", "1", "0", "--count", "-5"],   # negative count
+        ["census", "2", "1", "0", "--set", "0,0,1"],  # repeated value
     ])
     def test_one_line_exit_two(self, argv, tmp_path):
         src = os.path.dirname(os.path.dirname(involutive.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        out = ["--out", str(tmp_path / "kept")] if argv[0] == "sample" else []
         proc = subprocess.run(
-            [sys.executable, "-m", "involutive.cli", *argv,
-             "--out", str(tmp_path / "kept")],
+            [sys.executable, "-m", "involutive.cli", *argv, *out],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr

@@ -87,13 +87,14 @@ class TestBOfPhi:
     def test_recovers_single_block(self):
         barr = build_b_array(make_310(T2=2, R3=2, Q=5))
         m = b_of_phi(barr, [1, 0], [0, 0, 1])
-        assert m == barr.block(1, 3)
+        assert m == RatMatrix.from_rows(barr.block(1, 3))
 
     def test_linear_combination(self):
         barr = build_b_array(make_310(T2=1, R3=1))
         m = b_of_phi(barr, [1, 1], [0, 1, 1])
-        expect = (barr.block(1, 2) + barr.block(1, 3)
-                  + barr.block(2, 2) + barr.block(2, 3))
+        b12, b13, b22, b23 = (RatMatrix.from_rows(barr.block(lam, i))
+                              for lam, i in ((1, 2), (1, 3), (2, 2), (2, 3)))
+        expect = b12 + b13 + b22 + b23
         assert m == expect
 
     def test_ignores_components_past_ell(self):
@@ -209,7 +210,7 @@ def _old_b_of_phi(barr, phi, v):
             vi = Fraction(v[i - 1]) if i <= len(v) else Fraction(0)
             if vi == 0:
                 continue
-            out = out + barr.block(lam, i).scale(c * vi)
+            out = out + RatMatrix.from_rows(barr.block(lam, i)).scale(c * vi)
     return out
 
 
@@ -222,7 +223,8 @@ def _old_w1_of_phi(barr, phi):
         m = RatMatrix.zeros(barr.r, barr.r)
         for lam in range(1, barr.ell + 1):
             if phi[lam - 1] != 0:
-                m = m + barr.block(lam, mu).scale(phi[lam - 1])
+                m = m + RatMatrix.from_rows(
+                    barr.block(lam, mu)).scale(phi[lam - 1])
         if phi[mu - 1] != 0:
             m = m - RatMatrix.identity(barr.r).scale(phi[mu - 1])
         blocks.append(m)

@@ -24,15 +24,9 @@ from involutive import (
 )
 from involutive import involutivity as involutivity_mod
 from involutive import tableau as tableau_mod
-from involutive.involutivity import VARIANTS, NotEndovolutive
-from involutive.linalg import (
-    invert,
-    kernel_basis,
-    random_invertible_rng,
-    random_unit_upper_triangular,
-    row_basis,
-    rref,
-)
+from involutive.involutivity import (VARIANTS, NotEndovolutive,
+                                     symbolic_b_array)
+from involutive.linalg import invert, kernel_basis, row_basis, rref
 from involutive.moduli import coefficient_variables, presentation_from_assignment
 from involutive.tableau import NonGenericBasis, _reduce, find_generic_basis
 from conftest import (
@@ -40,7 +34,9 @@ from conftest import (
     fraction_reduction,
     make_310,
     make_321,
-    nested_b_array,
+    random_invertible_rng,
+    random_matrix,
+    random_unit_upper_triangular,
     spanning_variants,
     staircase_corpus,
 )
@@ -63,30 +59,39 @@ class TestBArray:
     def test_310_blocks(self):
         barr = build_b_array(make_310(P1=5, P2=6, P3=7, Q=9, T2=1, T3=2, R3=3))
         assert barr.ell == 2 and barr.n == 3 and barr.r == 3
-        assert barr.block(1, 1) == RatMatrix.identity(3)
-        assert barr.block(1, 2) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(1, 1)) == RatMatrix.identity(3)
+        assert RatMatrix.from_rows(barr.block(1, 2)) == RatMatrix.from_rows(
             [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-        assert barr.block(1, 3) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(1, 3)) == RatMatrix.from_rows(
             [[5, 6, 7], [0, 1, 2], [0, 0, 3]])
-        assert barr.block(2, 2) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(2, 2)) == RatMatrix.from_rows(
             [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-        assert barr.block(2, 3) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(2, 3)) == RatMatrix.from_rows(
             [[9, 0, 0], [0, 0, 0], [0, 0, 0]])
 
     def test_321_blocks(self):
         barr = build_b_array(make_321(P1=1, P2=2, P3=3, Q4=4, Q5=5,
                                       R1=6, R2=7, R3=8, T1=9, T2=10, T3=11))
-        assert barr.block(1, 2) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(1, 2)) == RatMatrix.from_rows(
             [[0, 0, 0], [0, 0, 0], [1, 2, 3]])
-        assert barr.block(1, 3) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(1, 3)) == RatMatrix.from_rows(
             [[0, 0, 0], [9, 10, 11], [6, 7, 8]])
-        assert barr.block(2, 2) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(2, 2)) == RatMatrix.from_rows(
             [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-        assert barr.block(2, 3) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(2, 3)) == RatMatrix.from_rows(
             [[0, 0, 0], [4, 5, 0], [0, 0, 0]])
-        assert barr.block(3, 3) == RatMatrix.from_rows(
+        assert RatMatrix.from_rows(barr.block(3, 3)) == RatMatrix.from_rows(
             [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
         assert barr.is_endovolutive()
+
+    @pytest.mark.parametrize("s", [(3, 1, 0), (2, 2, 1, 1), (3, 2, 1)])
+    def test_symbolic_array_is_endovolutive(self, s):
+        assert symbolic_b_array(CartanCharacters(s)).is_endovolutive()
+
+    def test_entry_past_s_lam_not_endovolutive(self):
+        chars = CartanCharacters((2, 1))
+        bad = SymbolPresentation(3, chars, {(3, 2, 2, 1): Fraction(1)})
+        assert not build_b_array(bad).is_endovolutive()
 
     def test_endovolutive_coefficient_check(self):
         ok, offender = is_endovolutive(make_310())
@@ -132,7 +137,7 @@ class TestQuadraticCriterion:
             assert bool(t) == bool(p)
 
     def test_reduced_conditions_leave_no_garbage(self):
-        barr = nested_b_array(make_321(P1=2, Q4=1, R1=1, T2=3))
+        barr = build_b_array(make_321(P1=2, Q4=1, R1=1, T2=3))
         gc.collect()
         gc.disable()
         try:
@@ -145,9 +150,10 @@ class TestQuadraticCriterion:
         # With a single dependent column pair the coefficient is exactly
         # the commutator B^lam_i B^mu_j - B^lam_j B^mu_i.
         barr = build_b_array(make_310(T2=2, R3=5))
-        conds = reduced_conditions(nested_b_array(make_310(T2=2, R3=5)))
-        comm = (barr.block(1, 2) @ barr.block(1, 3)
-                - barr.block(1, 3) @ barr.block(1, 2))
+        conds = reduced_conditions(barr)
+        b12 = RatMatrix.from_rows(barr.block(1, 2))
+        b13 = RatMatrix.from_rows(barr.block(1, 3))
+        comm = b12 @ b13 - b13 @ b12
         mat = conds[(1, 1, 2, 3)]
         s2 = barr.characters.s[1]
         for a in range(s2, barr.r):
@@ -170,7 +176,7 @@ class TestQuadraticCriterion:
         assert any(p.r > p.characters.s[0] for p in presentations)
         flagged = 0
         for pres in presentations:
-            conds = reduced_conditions(nested_b_array(pres))
+            conds = reduced_conditions(build_b_array(pres))
             want = [(key + (a, b), v) for key, mat in sorted(conds.items())
                     if variant == "proof" or key[1] < key[3]
                     for a, row in enumerate(mat, start=1)
@@ -461,7 +467,6 @@ class TestCartanTest:
             r = rng.randint(1, 4)
             d = rng.randint(0, r)
             span = []
-            from involutive.linalg import random_matrix
             for _ in range(d):
                 span.append(random_matrix(r, 1, rng))
             rep = cartan_test(Tableau(r, 1, span))
@@ -506,8 +511,9 @@ class TestOracleCriterionAgreement:
         pres = SymbolPresentation(1, chars, {
             (1, 1, 3, 1): Fraction(1), (1, 2, 4, 1): Fraction(1)})
         barr = build_b_array(pres)
-        raw = (barr.block(1, 3) @ barr.block(2, 4)
-               - barr.block(1, 4) @ barr.block(2, 3))
+        b13, b14, b23, b24 = (RatMatrix.from_rows(barr.block(lam, i))
+                              for lam, i in ((1, 3), (1, 4), (2, 3), (2, 4)))
+        raw = b13 @ b24 - b14 @ b23
         assert not raw.is_zero()
         assert quadratic_criterion(barr) == []
         tab = tableau_from_coefficients(pres)

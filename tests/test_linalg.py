@@ -15,15 +15,17 @@ from involutive.linalg import (
     invert,
     kernel_basis,
     parse_rational,
-    random_invertible,
-    random_invertible_rng,
-    random_matrix,
-    random_unit_upper_triangular,
     rank,
     row_basis,
     rref,
     solve,
     vstack,
+)
+from conftest import (
+    random_invertible,
+    random_invertible_rng,
+    random_matrix,
+    random_unit_upper_triangular,
 )
 
 rationals = st.fractions(

@@ -30,7 +30,6 @@ from involutive.moduli import (
     symbolic_b_array,
     symbolic_conditions,
 )
-from conftest import nested_b_array
 
 # Character sets at n = 3, 4 and 5; the nested corrections of the
 # reduced conditions first appear at n = 4.
@@ -215,7 +214,7 @@ class TestSymbolicConditions:
             values = [Fraction(rng.randint(-2, 2)) for _ in variables]
             pres = presentation_from_assignment(
                 chars, dict(zip(variables, values)))
-            numeric = reduced_conditions(nested_b_array(pres))
+            numeric = reduced_conditions(build_b_array(pres))
             r = pres.r
             for key in set(symbolic) | set(numeric):
                 for a in range(r):
@@ -258,7 +257,7 @@ class TestSampling:
     def test_scalar_family_keeps_everything(self):
         chars = CartanCharacters((1, 1, 0, 0))
         kept = sample_involutive(chars, seed=3, count=40,
-                                 coefficient_set=(-1, 0, 1), r=1)
+                                 coefficient_set=(-1, 0, 1))
         assert len(kept) == 40
 
     def test_deterministic(self):
@@ -303,6 +302,12 @@ class TestCensus:
     def test_111_single_entry(self):
         rec = enumerate_census(CartanCharacters((1, 1, 1)), (0, 1), cap=10)
         assert rec.total_assignments == 1 and rec.involutive_count == 1
+
+    def test_repeated_value_refused(self):
+        # a repeat would count each assignment once per copy
+        for values in ((0, 0, 1), (1, Fraction(2, 2))):
+            with pytest.raises(ValueError, match="repeats the value"):
+                enumerate_census(CartanCharacters((2, 1, 0)), values, cap=100)
 
     def test_cap_enforced(self):
         with pytest.raises(CensusTooLarge):

@@ -19,11 +19,7 @@ from involutive import (
     tableau_from_coefficients,
 )
 from involutive import prolongation_dimension, rank, rref
-from involutive.linalg import (
-    invert,
-    random_invertible_rng,
-    random_unit_upper_triangular,
-)
+from involutive.linalg import invert
 from involutive import linalg as linalg_mod
 from involutive import tableau as tableau_mod
 from involutive.tableau import (
@@ -36,6 +32,8 @@ from involutive.tableau import (
 from conftest import (
     fraction_extraction,
     make_310,
+    random_invertible_rng,
+    random_unit_upper_triangular,
     spanning_variants,
     staircase_corpus,
 )
@@ -139,7 +137,6 @@ class TestCharacters:
         # scramble a staircase family by a non-trivial basis pair
         tab = tableau_from_coefficients(make_310(P2=3, T3=1))
         rng = random.Random(11)
-        from involutive.linalg import random_invertible_rng
         bp = BasisPair(random_invertible_rng(3, rng),
                        random_invertible_rng(3, rng))
         scrambled = Tableau(3, 3, [bp.apply(m) for m in tab.span])
