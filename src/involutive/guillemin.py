@@ -7,9 +7,12 @@ B(phi)(v), the rank-one locus W^1(phi), and the two structural checks
 prolongation-restriction comparison).
 
 Everything is read off the blocks B^lam_i entry by entry, as
-``block[a][b]`` of their nested ``Fraction`` lists: W^1(phi) is the
-kernel of one stacked system, whose rank gives its dimension, and
-commutators are tested on the images B(v)z, so no r x r product forms.
+``block[a][b]`` of their nested lists: W^1(phi) is the kernel of one
+stacked system, whose rank gives its dimension, and commutators are
+tested on the images B(v)z, so no r x r product forms.  They are
+integer rows: the blocks, phi, each v and the basis of W^1(phi) are
+scaled once per call by the lcm of their denominators.  The generic
+dimension is a mode over seeded draws of phi, not a certified figure.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .involutivity import BArray, NotEndovolutive, cartan_test
-from .linalg import RatMatrix, kernel_basis, rank, row_basis
+from .linalg import (RatMatrix, _denominator_lcm, _pivot_columns,
+                     kernel_basis, rank, row_basis)
 from .tableau import Tableau, restrict_to_U
 
 
@@ -116,30 +120,41 @@ def b_of_phi(barr: BArray, phi: Sequence[Fraction],
              for lam in range(1, min(barr.ell, len(phi)) + 1)
              for i in range(1, min(barr.n, len(v)) + 1)
              if phi[lam - 1] and v[i - 1]]
-    r = barr.r
-    return RatMatrix(r, r, [sum(c * e[a][b] for c, e in terms if e[a][b])
-                            for a in range(r) for b in range(r)])
+    return RatMatrix.from_rows(_combination(terms, barr.r))
 
 
-def _w1_system(barr: BArray, phi: Sequence[Fraction]) -> RatMatrix:
-    """The rows (sum_lam phi_lam B^lam_mu - phi_mu I) for mu <= ell,
-    then unit rows on the coordinates past s_kappa, which constrain z
-    to W^-(phi).  Components of phi past ell are ignored."""
+def _combination(terms, r: int) -> list[list]:
+    """sum c * block over the (c, block) pairs, as r x r nested lists."""
+    return [[sum(c * e[a][b] for c, e in terms if e[a][b])
+             for b in range(r)] for a in range(r)]
+
+
+def _scaled(values, d: int = 0) -> list[int]:
+    """Rationals times d, by default the lcm of their denominators."""
+    d = d or _denominator_lcm(values)
+    return [x.numerator * (d // x.denominator) for x in values]
+
+
+def _integer_blocks(barr: BArray) -> tuple[int, list]:
+    """D, the lcm of the blocks' denominators, and the blocks times D."""
     if not barr.is_endovolutive():
         raise NotEndovolutive("W^1(phi) is defined on an endovolutive array")
-    phi = [Fraction(x) for x in phi]
-    if all(c == 0 for c in phi[:barr.ell]):
+    d = _denominator_lcm(e for row in barr.blocks for blk in row
+                         for line in blk for e in line)
+    return d, [[[_scaled(line, d) for line in blk] for blk in row]
+               for row in barr.blocks]
+
+
+def _w1_system(barr: BArray, d: int, grid: list, phi: list[int]) -> list:
+    """Rows (sum_lam phi_lam D B^lam_mu - D phi_mu I), mu <= ell, for an
+    integer phi, then unit rows past s_kappa that keep z in W^-(phi)."""
+    if not any(phi):
         raise ZeroCovector("phi has no component in U*")
-    ell, r = barr.ell, barr.r
-    s_k = barr.characters.s[_leading_index(barr, phi[:ell]) - 1]
-    blocks = [[(c, barr.block(lam, mu))
-               for lam, c in enumerate(phi[:ell], start=1) if c]
-              for mu in range(1, ell + 1)]
-    return RatMatrix.from_rows(
-        [[sum(c * e[a][b] for c, e in blocks[mu] if e[a][b])
-          - (phi[mu] if a == b else 0) for b in range(r)]
-         for mu in range(ell) for a in range(r)]
-        + [[int(a == b) for b in range(r)] for a in range(s_k, r)])
+    eye = [[int(a == b) for b in range(barr.r)] for a in range(barr.r)]
+    s_k = barr.characters.s[_leading_index(barr, phi) - 1]
+    return [line for mu in range(barr.ell) for line in _combination(
+        [(c, grid[lam][mu]) for lam, c in enumerate(phi) if c]
+        + [(-d * phi[mu], eye)], barr.r)] + eye[s_k:]
 
 
 def w1_of_phi(barr: BArray, phi: Sequence[Fraction]) -> Subspace:
@@ -149,25 +164,35 @@ def w1_of_phi(barr: BArray, phi: Sequence[Fraction]) -> Subspace:
     mu <= ell, inside W^-(phi).  Components of phi past ell must
     vanish implicitly (they are ignored).
     """
-    return Subspace.from_vectors(barr.r, kernel_basis(_w1_system(barr, phi)))
+    rows = _w1_system(barr, *_integer_blocks(barr),
+                      _scaled([Fraction(x) for x in phi[:barr.ell]]))
+    return Subspace.from_vectors(barr.r,
+                                 kernel_basis(RatMatrix.from_rows(rows)))
 
 
 def dim_w1_generic(barr: BArray, seed: int = 0, trials: int = 16) -> int:
-    """Modal dimension of W^1(phi) over seeded random phi in U*.
-
-    For an involutive tableau this equals s_ell.
-    """
+    """Modal dimension of W^1(phi) over ``trials`` seeded draws of phi
+    from [-9, 9]^ell, which is s_ell for an involutive tableau: a mode of
+    exact ranks, not a certified figure."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if barr.ell == 0:
         return 0
+    d, grid = _integer_blocks(barr)
     rng = random.Random(seed)
     dims = []
     for _ in range(trials):
         while True:
-            phi = [Fraction(rng.randint(-9, 9)) for _ in range(barr.ell)]
+            phi = [rng.randint(-9, 9) for _ in range(barr.ell)]
             if any(phi):
                 break
-        dims.append(barr.r - rank(_w1_system(barr, phi)))
-    return max(set(dims), key=lambda d: (dims.count(d), -d))
+        dims.append(barr.r - len(_pivot_columns(
+            _w1_system(barr, d, grid, phi), 0)))
+    return max(set(dims), key=lambda k: (dims.count(k), -k))
+
+
+def _apply(m: list[list[int]], z: list[int]) -> list[int]:
+    return [sum(x * y for x, y in zip(line, z)) for line in m]
 
 
 def check_gnf_commutativity(barr: BArray, phi: Sequence[Fraction],
@@ -179,22 +204,32 @@ def check_gnf_commutativity(barr: BArray, phi: Sequence[Fraction],
     basis of V.  Returns (True, None) or (False, witness) with the
     first offending vector pair and element.  Each image B(v)z is
     formed once; the commutator on z is B(v)(B(v~)z) - B(v~)(B(v)z).
+    An image lies in W^1(phi) when the rows that define it vanish on it.
     """
-    w1 = w1_of_phi(barr, phi)
+    d, grid = _integer_blocks(barr)
+    phi = _scaled([Fraction(x) for x in phi[:barr.ell]])
+    system = _w1_system(barr, d, grid, phi)
+    w1 = Subspace.from_vectors(barr.r,
+                               kernel_basis(RatMatrix.from_rows(system)))
     vs = [tuple(Fraction(x) for x in v) for v in sample_vectors]
     vs += [tuple(Fraction(int(j == i)) for j in range(barr.n))
            for i in range(barr.n)]
-    mats = [b_of_phi(barr, phi, v) for v in vs]
-    images = [[m @ z for z in w1.basis] for m in mats]
+    mats = [_combination([(c * x, grid[lam][i])
+                          for lam, c in enumerate(phi) if c
+                          for i, x in enumerate(w) if x], barr.r)
+            for w in (_scaled(v[:barr.n]) for v in vs)]
+    zs = [_scaled(z.entries()) for z in w1.basis]
+    images = [[_apply(m, z) for z in zs] for m in mats]
     for v, mzs in zip(vs, images):
         for z, mz in zip(w1.basis, mzs):
-            if not w1.contains(mz):
+            if any(_apply(system, mz)):
                 return False, {"kind": "not-endomorphism", "v": v,
                                "z": tuple(z.entries())}
     for p in range(len(vs)):
         for q in range(p + 1, len(vs)):
             for k, z in enumerate(w1.basis):
-                if mats[p] @ images[q][k] != mats[q] @ images[p][k]:
+                if (_apply(mats[p], images[q][k])
+                        != _apply(mats[q], images[p][k])):
                     return False, {"kind": "commutator", "v": vs[p],
                                    "v_tilde": vs[q], "z": tuple(z.entries())}
     return True, None

@@ -136,9 +136,6 @@ class RatMatrix:
         return RatMatrix(self.rows, self.cols,
                          [a - b for a, b in zip(self._data, other._data)])
 
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-a for a in self._data])
-
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)
         return RatMatrix(self.rows, self.cols, [c * a for a in self._data])

@@ -148,6 +148,23 @@ class TestGenericW1Dim:
         barr = build_b_array(make_321())
         assert dim_w1_generic(barr) == 1  # s_3 = 1
 
+    def test_refuses_fewer_than_one_trial(self):
+        barrs = (build_b_array(make_310()),
+                 build_b_array(SymbolPresentation(
+                     2, CartanCharacters((0, 0)), {})))
+        for barr in barrs:
+            for trials in (0, -1):
+                with pytest.raises(ValueError, match="trials"):
+                    dim_w1_generic(barr, trials=trials)
+
+    def test_requires_endovolutive(self):
+        chars = CartanCharacters((2, 1))
+        bad = SymbolPresentation(3, chars, {(3, 2, 2, 1): Fraction(1)})
+        with pytest.raises(NotEndovolutive):
+            dim_w1_generic(build_b_array(bad))
+        with pytest.raises(NotEndovolutive):
+            check_gnf_commutativity(build_b_array(bad), [1, 0])
+
 
 class TestCommutativity:
     def test_holds_even_when_not_involutive(self):
@@ -290,10 +307,10 @@ def _old_check_theorem_a(tab, seed=0, trials=32):
     return cartan_test(restricted, seed=seed, trials=trials).involutive
 
 
-def _endovolutive_corpus(seed, count):
+def _endovolutive_corpus(seed, count, values=(0, 0, 1, -1, 2)):
     """Seeded presentations with ell >= 1 and every free endovolutive
-    slot drawn from {0, 0, 1, -1, 2}, so about a quarter are not
-    involutive; n <= 4 and r <= 4."""
+    slot drawn from ``values`` (by default {0, 0, 1, -1, 2}, so about a
+    quarter are not involutive); n <= 4 and r <= 4."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -302,7 +319,7 @@ def _endovolutive_corpus(seed, count):
             (rng.randint(0, r) for _ in range(n)), reverse=True)))
         if chars.ell == 0:
             continue
-        asg = {v: Fraction(rng.choice((0, 0, 1, -1, 2)))
+        asg = {v: Fraction(rng.choice(values))
                for v in coefficient_variables(chars)}
         out.append(presentation_from_assignment(chars, asg, r=r))
     return out
@@ -361,3 +378,67 @@ class TestSameAsMatrixArithmetic:
             results.append(check_theorem_a(tab))
             assert results[-1] == _old_check_theorem_a(tab)
         assert True in results and False in results
+
+
+class TestIntegerRowsOnRationalArrays:
+    """The integer-row checks scale the blocks, phi, each v and the
+    W^1(phi) basis by their denominators; on rational input they must
+    still agree with the matrix arithmetic above."""
+    corpus = _endovolutive_corpus(19, 60, values=(
+        0, 0, 1, -2, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
+        Fraction(-3, 2)))
+
+    @staticmethod
+    def rational(rng, n, lo=-3, hi=3):
+        return [Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3)))
+                for _ in range(n)]
+
+    def test_corpus_has_denominators_and_wide_r(self):
+        dens = {c.denominator for p in self.corpus
+                for c in p.coefficients.values()}
+        assert {2, 3} <= dens
+        assert any(p.r > p.characters.s[0] for p in self.corpus)
+
+    def test_generic_dims_and_w1_bases(self):
+        rng = random.Random(4)
+        for pres in self.corpus:
+            barr = build_b_array(pres)
+            for seed in (0, 5):
+                assert dim_w1_generic(barr, seed=seed) == \
+                    _old_dim_w1_generic(barr, seed=seed)
+            phi = self.rational(rng, barr.n)
+            if any(phi[:barr.ell]):
+                assert w1_of_phi(barr, phi).basis == \
+                    _old_w1_of_phi(barr, phi).basis
+
+    def test_commutativity_results_and_witnesses(self):
+        rng = random.Random(8)
+        kinds = set()
+        for pres in self.corpus:
+            barr = build_b_array(pres)
+            for _ in range(2):
+                phi = self.rational(rng, barr.n)
+                if not any(phi[:barr.ell]):
+                    continue
+                sample = [self.rational(rng, barr.n, -2, 2)]
+                for vs in ((), sample):
+                    got = check_gnf_commutativity(barr, phi, vs)
+                    assert got == _old_check_gnf_commutativity(barr, phi, vs)
+                    kinds.add(got[1] and got[1]["kind"])
+        assert kinds == {None, "not-endomorphism", "commutator"}
+
+    def test_sample_vector_keeps_its_denominators(self):
+        # B(v) maps W^1(phi) into itself for this v, but not for the
+        # vector of its numerators, (1, -1, -1, -1); the first offence
+        # is then at the coordinate vector e_3
+        one = Fraction(1)
+        pres = SymbolPresentation(2, CartanCharacters((2, 1, 0, 0)), {
+            (2, 1, 2, 1): -one, (2, 1, 2, 2): 2 * one, (2, 1, 3, 1): one,
+            (2, 1, 3, 2): -one, (1, 1, 4, 2): one, (2, 1, 4, 1): -one,
+            (2, 1, 4, 2): 2 * one, (1, 2, 4, 1): one})
+        barr = build_b_array(pres)
+        phi = [-1, 0, -3, Fraction(-2, 3)]
+        vs = [[1, Fraction(-1, 3), Fraction(-1, 2), -1]]
+        got = check_gnf_commutativity(barr, phi, vs)
+        assert got == _old_check_gnf_commutativity(barr, phi, vs)
+        assert got[1]["v"] == (0, 0, 1, 0)
