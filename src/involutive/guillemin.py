@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .involutivity import BArray, NotEndovolutive, cartan_test
-from .linalg import (RatMatrix, _denominator_lcm, _pivot_columns,
+from .linalg import (RatMatrix, _denominator_lcm, _pivot_columns, _scaled,
                      kernel_basis, rank, row_basis)
 from .tableau import Tableau, restrict_to_U
 
@@ -129,12 +129,6 @@ def _combination(terms, r: int) -> list[list]:
              for b in range(r)] for a in range(r)]
 
 
-def _scaled(values, d: int = 0) -> list[int]:
-    """Rationals times d, by default the lcm of their denominators."""
-    d = d or _denominator_lcm(values)
-    return [x.numerator * (d // x.denominator) for x in values]
-
-
 def _integer_blocks(barr: BArray) -> tuple[int, list]:
     """D, the lcm of the blocks' denominators, and the blocks times D."""
     if not barr.is_endovolutive():
@@ -157,6 +151,15 @@ def _w1_system(barr: BArray, d: int, grid: list, phi: list[int]) -> list:
         + [(-d * phi[mu], eye)], barr.r)] + eye[s_k:]
 
 
+def _w1(barr: BArray, phi: Sequence) -> tuple:
+    """(D B, integer phi, ``_w1_system`` rows, W^1(phi): their kernel)."""
+    d, grid = _integer_blocks(barr)
+    phi = _scaled([Fraction(x) for x in phi[:barr.ell]])
+    system = _w1_system(barr, d, grid, phi)
+    return grid, phi, system, Subspace.from_vectors(
+        barr.r, kernel_basis(RatMatrix.from_rows(system)))
+
+
 def w1_of_phi(barr: BArray, phi: Sequence[Fraction]) -> Subspace:
     """Rank-one locus: z in W^-(phi) with the stacked eigen-conditions.
 
@@ -164,10 +167,7 @@ def w1_of_phi(barr: BArray, phi: Sequence[Fraction]) -> Subspace:
     mu <= ell, inside W^-(phi).  Components of phi past ell must
     vanish implicitly (they are ignored).
     """
-    rows = _w1_system(barr, *_integer_blocks(barr),
-                      _scaled([Fraction(x) for x in phi[:barr.ell]]))
-    return Subspace.from_vectors(barr.r,
-                                 kernel_basis(RatMatrix.from_rows(rows)))
+    return _w1(barr, phi)[3]
 
 
 def dim_w1_generic(barr: BArray, seed: int = 0, trials: int = 16) -> int:
@@ -206,11 +206,7 @@ def check_gnf_commutativity(barr: BArray, phi: Sequence[Fraction],
     formed once; the commutator on z is B(v)(B(v~)z) - B(v~)(B(v)z).
     An image lies in W^1(phi) when the rows that define it vanish on it.
     """
-    d, grid = _integer_blocks(barr)
-    phi = _scaled([Fraction(x) for x in phi[:barr.ell]])
-    system = _w1_system(barr, d, grid, phi)
-    w1 = Subspace.from_vectors(barr.r,
-                               kernel_basis(RatMatrix.from_rows(system)))
+    grid, phi, system, w1 = _w1(barr, phi)
     vs = [tuple(Fraction(x) for x in v) for v in sample_vectors]
     vs += [tuple(Fraction(int(j == i)) for j in range(barr.n))
            for i in range(barr.n)]

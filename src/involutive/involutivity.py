@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import (RatMatrix, _denominator_lcm, _integer_rows,
-                     _pivot_columns, _rank, format_rational)
+from .linalg import (RatMatrix, _denominator_lcm, _pivot_columns, _rank,
+                     _scaled, format_rational)
 from .tableau import (
     BasisPair,
     CartanCharacters,
@@ -33,7 +33,6 @@ from .tableau import (
     Tableau,
     _find_generic_basis,
     _reduce,
-    _span_rows,
     extract_symbol_coefficients,
 )
 
@@ -364,11 +363,11 @@ def _evaluate(conditions: list, values: Sequence):
 
 @functools.lru_cache(maxsize=128)  # (characters, variant) pairs
 def _compiled_conditions(s: tuple, variant: str) -> tuple:
-    """(free slot keys, ``symbolic_conditions`` sorted by key)."""
+    """(free slot keys, ``symbolic_conditions`` in its own order), shared
+    by every caller: none mutates the ``Poly`` objects."""
     chars = CartanCharacters(s)
     return (tuple(v.key for v in coefficient_variables(chars)),
-            tuple(sorted(symbolic_conditions(chars, variant),
-                         key=lambda entry: entry[0])))
+            tuple(symbolic_conditions(chars, variant)))
 
 
 def quadratic_criterion(barr: BArray,
@@ -383,7 +382,7 @@ def quadratic_criterion(barr: BArray,
     mu = j.  Both verdicts match the prolongation oracle on
     presentations whose declared basis is generic.  The entries are
     ``symbolic_conditions``, compiled once per characters and variant,
-    evaluated at the array's free slots.
+    evaluated at the array's free slots, sorted by (lam, mu, i, j, a, b).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -392,9 +391,9 @@ def quadratic_criterion(barr: BArray,
     slots, conditions = _compiled_conditions(barr.characters.s, variant)
     values = [_whole(barr.block(lam, i)[a - 1][b - 1])
               for a, lam, i, b in slots]
-    return [QuadraticViolation(*key, Fraction(v))
-            for (key, _), v in zip(conditions, _evaluate(conditions, values))
-            if v]
+    return [QuadraticViolation(*key, Fraction(v)) for key, v in sorted(
+        (key, v) for (key, _), v in zip(conditions,
+                                        _evaluate(conditions, values)) if v)]
 
 
 def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
@@ -410,7 +409,7 @@ def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
     """
     r, n = tab.r, tab.n
     flat = [[m[a][i] for i in range(n) for a in range(r)]  # column-major
-            for m in _span_rows(tab)]
+            for m in tab.rows]
     elems = flat[:len(_pivot_columns(flat, 0, reduced=True))]
     rows = []
     for i in range(n):
@@ -490,8 +489,8 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
     # denominators of W).  It is invertible: no rank check needed.
     w = basis.w_change
     lcm = _denominator_lcm(w.entries())
-    aug = [[u[j] * lcm for u in adapted] + row
-           for j, row in enumerate(_integer_rows(w))]
+    aug = [[u[j] * lcm for u in adapted] + _scaled(w.row(j), lcm)
+           for j in range(r)]
     _pivot_columns(aug, 0, reduced=True)
     d = [next(x for x in u if x) for u in adapted]
     bp = BasisPair._unchecked(

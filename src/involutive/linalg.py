@@ -16,11 +16,11 @@ forward only; ``rref`` also clears above each pivot, and divides each
 row by its pivot only when it forms the output, which is the unique
 reduced row echelon form.  So reduced forms, kernels (``kernel_basis``),
 solutions (``solve``) and inverses (``invert``) are computed over Z,
-with ``Fraction`` only in the output.  ``tableau`` and ``involutivity``
-share the entry points ``_integer_rows`` and ``_rank`` (the rank of
-integer rows, left intact), and run ``_pivot_columns`` on integer rows
-directly, so the analyze path makes no product; the products (``@``)
-multiply ``Fraction`` entries.
+with ``Fraction`` only in the output.  ``_scaled`` is the only scaler of
+rationals to integers in the package; ``tableau`` and ``involutivity``
+share ``_integer_rows`` and ``_rank`` (the rank of integer rows, left
+intact), and run ``_pivot_columns`` on integer rows directly, so the
+analyze path makes no product; ``@`` multiplies ``Fraction`` entries.
 
 The same loop, run modulo the prime ``MODULUS``, is
 ``pivot_columns_mod_p``.  A rank mod p is at most the rank over Q, so
@@ -216,11 +216,16 @@ def _denominator_lcm(values: Iterable[Fraction]) -> int:
     return functools.reduce(math.lcm, [e.denominator for e in values], 1)
 
 
+def _scaled(values: Sequence[Fraction], d: int = 0) -> list[int]:
+    """Rationals times d, by default the lcm of their denominators."""
+    d = d or _denominator_lcm(values)
+    return [x.numerator * (d // x.denominator) for x in values]
+
+
 def _integer_rows(m: RatMatrix) -> list[list[int]]:
     """Rows of ``m`` scaled by the lcm of its denominators (same RREF)."""
-    scale = _denominator_lcm(m.entries())
-    return [[e.numerator * (scale // e.denominator) for e in m.row(i)]
-            for i in range(m.rows)]
+    d = _denominator_lcm(m.entries())
+    return [_scaled(m.row(i), d) for i in range(m.rows)]
 
 
 def _reduced_entries(a: list[list[int]]) -> tuple[list[Fraction], list[int]]:

@@ -7,11 +7,11 @@ terms plus, from n = 4 on, nested corrections of higher degree.  This
 module exports those polynomials as an ideal, samples assignments that
 land on its variety, and exhaustively enumerates small censuses, all
 at r = s_1: a larger r changes no condition (``symbolic_b_array``).
-The sampler and the census compile the polynomials once per call and
-evaluate them per assignment, as the criterion does; every kept sample
-is still cross-checked against the prolongation oracle.  The census
-refuses a coefficient set that repeats a value; the sampler reads a
-repeat as a weight on its draw.
+All three read the criterion's compile (``_compiled_conditions``), one
+per characters and variant; the sampler and the census evaluate it per
+assignment, and every kept sample is cross-checked against the
+prolongation oracle.  The census refuses a coefficient set that
+repeats a value; the sampler reads a repeat as a weight on its draw.
 
 Polynomials are plain expanded term maps (``Poly``: monomial tuple ->
 coefficient), no CAS involved.  Variable naming in exports is
@@ -28,8 +28,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .involutivity import (  # noqa: F401  (re-exported)
-    CoefficientVariable, Poly, _evaluate, _whole, coefficient_variables,
-    prolongation_dimension, symbolic_b_array, symbolic_conditions)
+    CoefficientVariable, Poly, _compiled_conditions, _evaluate, _whole,
+    coefficient_variables, prolongation_dimension, symbolic_b_array,
+    symbolic_conditions)
 from .linalg import format_rational
 from .tableau import CartanCharacters, SymbolPresentation, tableau_from_coefficients
 
@@ -93,7 +94,7 @@ def export_ideal(chars: CartanCharacters,
     variables = coefficient_variables(chars)
     seen = set()
     out = []
-    for _, p in symbolic_conditions(chars, variant):
+    for _, p in _compiled_conditions(chars.s, variant)[1]:
         gen = IdealGenerator.from_poly(
             {tuple(sorted(variables[k] for k in m)): Fraction(c)
              for m, c in p.terms.items()})
@@ -136,7 +137,7 @@ def sample_involutive(chars: CartanCharacters, seed: int = 0, count: int = 10,
     rng = random.Random(seed)
     variables = coefficient_variables(chars)
     pool = [Fraction(c) for c in coefficient_set]
-    conditions = symbolic_conditions(chars, variant)
+    _, conditions = _compiled_conditions(chars.s, variant)
     kept = []
     for _ in range(count):
         values = [rng.choice(pool) for _ in variables]
@@ -184,7 +185,7 @@ def enumerate_census(chars: CartanCharacters, coefficient_set: Sequence,
     if total > cap:
         raise CensusTooLarge(
             f"{total} assignments exceed the cap of {cap}")
-    conditions = symbolic_conditions(chars, variant)
+    _, conditions = _compiled_conditions(chars.s, variant)
     involutive = 0
     histogram: dict[int, int] = {}
     for values in itertools.product([_whole(v) for v in pool],

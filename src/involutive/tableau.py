@@ -187,9 +187,11 @@ class SymbolPresentation:
 
 
 class Tableau:
-    """A subspace of W (x) V*, r x n matrices, held by a spanning set."""
+    """A subspace of W (x) V*, r x n matrices, held by a spanning set;
+    ``rows`` holds the same matrices as integer rows (``_integer_rows``),
+    converted once for every stage.  No reader writes into them."""
 
-    __slots__ = ("r", "n", "span")
+    __slots__ = ("r", "n", "span", "rows")
 
     def __init__(self, r: int, n: int, span):
         span = tuple(span)
@@ -200,9 +202,10 @@ class Tableau:
         self.r = r
         self.n = n
         self.span = span
+        self.rows = tuple([_integer_rows(m) for m in span])
 
     def __setattr__(self, name, value):
-        if hasattr(self, "span"):
+        if hasattr(self, "rows"):
             raise AttributeError("Tableau is immutable")
         super().__setattr__(name, value)
 
@@ -254,7 +257,7 @@ def _reduce(tab: Tableau, basis: BasisPair) -> tuple[list[list[int]],
     """
     if basis.w_change.rows != tab.r or basis.v_change.rows != tab.n:
         raise InvalidBasis("basis pair has wrong dimensions")
-    return _reduce_rows(tab.r, _span_rows(tab), _integer_rows(basis.w_change),
+    return _reduce_rows(tab.r, tab.rows, _integer_rows(basis.w_change),
                         _integer_rows(basis.v_change))
 
 
@@ -336,11 +339,6 @@ def _candidates(r: int, n: int, seed: int, trials: int):
         yield p, q
 
 
-def _span_rows(tab: Tableau) -> list[list[list[int]]]:
-    """The spanning matrices of ``tab``, integerised (``_integer_rows``)."""
-    return [_integer_rows(m) for m in tab.span]
-
-
 def _pi_q(span, q) -> list[list[list[int]]]:
     """Columns of pi Q for each integer spanning matrix pi."""
     q_cols = list(zip(*q))
@@ -351,10 +349,8 @@ def _pi_q(span, q) -> list[list[list[int]]]:
 def _exact_evaluator(tab: Tableau):
     """Characters of an integer candidate pair and a thunk for its
     staircase check, from one exact reduction."""
-    span = _span_rows(tab)
-
     def evaluate(pair):
-        rows, chars = _reduce_rows(tab.r, span, *pair)
+        rows, chars = _reduce_rows(tab.r, tab.rows, *pair)
         return chars, lambda: _staircase_rows(rows, chars, tab.r) is not None
     return evaluate
 
@@ -362,7 +358,7 @@ def _exact_evaluator(tab: Tableau):
 def _modular_evaluator(tab: Tableau):
     """``_exact_evaluator``'s values from ranks mod p (lower bounds).
 
-    The spanning set is integerised once, and candidates are integer
+    The spanning set is read as ``tab.rows``, and candidates are integer
     pairs.  The characters of (P, Q) are those of (I, Q): pi -> P pi is
     invertible on every column prefix.  So a candidate costs the integer
     products pi Q and one elimination mod p, which is never below that
@@ -372,11 +368,10 @@ def _modular_evaluator(tab: Tableau):
     its RREF.
     """
     r, n = tab.r, tab.n
-    span = _span_rows(tab)
 
     def evaluate(pair):
         w, q = pair
-        prods = _pi_q(span, q)
+        prods = _pi_q(tab.rows, q)
         pivots = pivot_columns_mod_p([[e for col in cols for e in col]
                                       for cols in prods])
         counts = [0] * n
