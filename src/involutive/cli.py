@@ -53,14 +53,13 @@ def _usage_error(message: str):
 
 
 def _parse_rational_list(text: str, flag: str) -> list[Fraction]:
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        _usage_error(f"{flag}: empty value in {text!r}")
     try:
-        values = [parse_rational(part) for part in text.split(",")
-                  if part.strip()]
+        return [parse_rational(part) for part in parts]
     except ValueError as exc:
         _usage_error(f"{flag}: {exc}")
-    if not values:
-        _usage_error(f"{flag}: no values given")
-    return values
 
 
 def _parse_characters(values: list[int]) -> CartanCharacters:
@@ -163,6 +162,10 @@ def cmd_analyze(args) -> int:
 def cmd_gnf(args) -> int:
     doc = load_document(args.input)
     tab = doc.tableau()
+    phi = _parse_rational_list(args.phi, "--phi")
+    if len(phi) > tab.n:
+        _usage_error(f"--phi: {len(phi)} values given, but n = {tab.n}")
+    phi += [Fraction(0)] * (tab.n - len(phi))
     report = cartan_test(tab, seed=args.seed, trials=args.trials)
     if report.endovolutive_inconclusive:
         print("endovolutive search inconclusive; normal form unavailable")
@@ -171,9 +174,6 @@ def cmd_gnf(args) -> int:
     chars = report.characters
     barr = build_b_array(report.presentation
                          or SymbolPresentation(tab.r, chars, {}))
-    phi = _parse_rational_list(args.phi, "--phi")
-    if len(phi) < tab.n:
-        phi = phi + [Fraction(0)] * (tab.n - len(phi))
     try:
         wm = w_minus_of_phi(barr, phi)
         w1 = w1_of_phi(barr, phi)

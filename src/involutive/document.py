@@ -85,7 +85,7 @@ def document_from_dict(data: dict) -> TableauDocument:
             chars.require_staircase()
         except ValueError as exc:
             raise DocumentError(f"characters: {exc}") from None
-        coeffs, recs = {}, data.get("coefficients", [])
+        coeffs, first, recs = {}, {}, data.get("coefficients", [])
         _require(isinstance(recs, list), "coefficients", "must be a list")
         for ci, rec in enumerate(recs):
             field = f"coefficients[{ci}]"
@@ -96,7 +96,13 @@ def document_from_dict(data: dict) -> TableauDocument:
             for name, v in (("a", a), ("lambda", lam), ("i", i), ("b", b)):
                 _require(type(v) is int and v >= 1, f"{field}.{name}",
                          "must be a positive integer")
-            coeffs[(a, lam, i, b)] = _parse_value(rec["value"], f"{field}.value")
+            key = (a, lam, i, b)
+            if key in first:
+                raise DocumentError(
+                    f"{field}: repeats the slot (a, lambda, i, b) = {key} "
+                    f"of coefficients[{first[key]}]")
+            first[key] = ci
+            coeffs[key] = _parse_value(rec["value"], f"{field}.value")
         try:
             sym = SymbolPresentation(r, chars, coeffs)
         except ValueError as exc:

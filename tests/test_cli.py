@@ -133,6 +133,19 @@ class TestGnf:
         with pytest.raises(SystemExit):
             main(["gnf", "--input", involutive_doc, "--phi", "x,y"])
 
+    @pytest.mark.parametrize("phi, message", [
+        ("0,,1", "error: --phi: empty value in '0,,1'"),
+        ("1,0,", "error: --phi: empty value in '1,0,'"),
+        ("1,0,0,0,0", "error: --phi: 5 values given, but n = 3"),
+    ])
+    def test_malformed_phi_refused(self, involutive_doc, capsys, phi,
+                                   message):
+        with pytest.raises(SystemExit) as exc:
+            main(["gnf", "--input", involutive_doc, "--phi", phi])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [message]
+
 
 class TestIdeal:
     def test_310_count(self, capsys):
@@ -196,6 +209,17 @@ class TestParser:
             main([])
 
 
+# Documents for the error-contract runs, named in argv by these keys.
+_CONTRACT_DOCS = {
+    "{321}": {"r": 3, "n": 3, "presentation": "coefficients",
+              "characters": [3, 2, 1], "coefficients": []},
+    "{repeated}": {"r": 3, "n": 3, "presentation": "coefficients",
+                   "characters": [2, 1, 0], "coefficients": [
+                       {"a": 3, "lambda": 1, "i": 1, "b": 1, "value": "1"},
+                       {"a": 3, "lambda": 1, "i": 1, "b": 1, "value": "0"}]},
+}
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("argv", [
         ["sample", "3", "2", "1", "--count", "50"],   # OracleDisagreement
@@ -203,10 +227,18 @@ class TestErrorContract:
         ["sample", "2", "1", "--count", "x"],         # argparse rejection
         ["sample", "3", "1", "0", "--count", "-5"],   # negative count
         ["census", "2", "1", "0", "--set", "0,0,1"],  # repeated value
+        ["census", "2", "1", "0", "--set", "0,,1"],   # empty field
+        ["gnf", "--input", "{321}", "--phi", "0,,1"],        # empty field
+        ["gnf", "--input", "{321}", "--phi", "1,0,0,0,0"],   # more than n
+        ["analyze", "--input", "{repeated}"],         # repeated record
     ])
     def test_one_line_exit_two(self, argv, tmp_path):
         src = os.path.dirname(os.path.dirname(involutive.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        for key, doc in _CONTRACT_DOCS.items():
+            path = tmp_path / f"{key.strip('{}')}.json"
+            path.write_text(json.dumps(doc))
+            argv = [str(path) if arg == key else arg for arg in argv]
         out = ["--out", str(tmp_path / "kept")] if argv[0] == "sample" else []
         proc = subprocess.run(
             [sys.executable, "-m", "involutive.cli", *argv, *out],

@@ -94,6 +94,22 @@ class TestCoefficientDocuments:
             document_from_dict(data)
 
 
+    @pytest.mark.parametrize("values", [("1", "0"), ("1", "1")])
+    def test_repeated_slot_names_both_records(self, values):
+        doc = coeff_doc()
+        doc["r"], doc["n"], doc["characters"] = 3, 3, [2, 1, 0]
+        doc["coefficients"] = [
+            {"a": 3, "lambda": 1, "i": 1, "b": 1, "value": values[0]},
+            {"a": 2, "lambda": 1, "i": 2, "b": 1, "value": "1"},
+            {"a": 3, "lambda": 1, "i": 1, "b": 1, "value": values[1]},
+        ]
+        with pytest.raises(DocumentError,
+                           match=r"coefficients\[2\].*coefficients\[0\]"):
+            document_from_dict(doc)
+        del doc["coefficients"][2]
+        assert document_from_dict(doc).symbol.coefficients[(3, 1, 1, 1)] == 1
+
+
 class TestTopLevelValidation:
     def test_missing_field(self):
         with pytest.raises(DocumentError, match="presentation"):

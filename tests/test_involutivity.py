@@ -189,6 +189,25 @@ class TestQuadraticCriterion:
         assert 0 < flagged < len(presentations)
 
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_violations_come_in_key_order(self, variant):
+        # The compile keeps symbolic_conditions' order (lam, i, j, mu, a,
+        # b); the criterion sorts only its violations, by their key.
+        rng = random.Random(71)
+        reordered = 0
+        for _ in range(80):
+            chars, r = random_staircase(rng)
+            got = [(v.lam, v.mu, v.i, v.j, v.a, v.b) for v in
+                   quadratic_criterion(build_b_array(random_presentation(
+                       rng, chars, r)), variant)]
+            assert got == sorted(set(got))
+            _, conditions = involutivity_mod._compiled_conditions(chars.s,
+                                                                  variant)
+            compiled = [key for key, _ in conditions if key in set(got)]
+            reordered += compiled != got
+        assert reordered
+
+
 class TestProlongationOracle:
     def test_full_tableau(self):
         tab = Tableau.full(2, 3)

@@ -10,6 +10,7 @@ from involutive import (
     CartanCharacters,
     CensusTooLarge,
     CoefficientVariable,
+    SymbolPresentation,
     coefficient_variables,
     enumerate_census,
     export_ideal,
@@ -17,6 +18,7 @@ from involutive import (
     sample_involutive,
     tableau_from_coefficients,
 )
+from involutive import involutivity as involutivity_mod
 from involutive.involutivity import (
     VARIANTS,
     build_b_array,
@@ -244,6 +246,30 @@ class TestSymbolicConditions:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             symbolic_conditions(CartanCharacters((3, 1, 0)), "other")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_caller_reads_the_criterions_compile(self, variant,
+                                                       monkeypatch):
+        compiled = involutivity_mod._compiled_conditions
+        compile_ = involutivity_mod.symbolic_conditions
+        calls = []
+
+        def counting(chars, variant):
+            calls.append((chars.s, variant))
+            return compile_(chars, variant)
+
+        monkeypatch.setattr(involutivity_mod, "symbolic_conditions", counting)
+        compiled.cache_clear()
+        chars = CartanCharacters((2, 1, 0))
+        quadratic_criterion(build_b_array(SymbolPresentation(2, chars, {})),
+                            variant)
+        before = compiled.cache_info()
+        assert export_ideal(chars, variant)
+        sample_involutive(chars, seed=3, count=4, variant=variant)
+        enumerate_census(chars, (0, 1), cap=200, variant=variant)
+        after = compiled.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 3, before.misses)
+        assert calls == [((2, 1, 0), variant)]
 
 
 class TestSampling:

@@ -18,8 +18,8 @@ from involutive import (
     restrict_to_U,
     tableau_from_coefficients,
 )
-from involutive import prolongation_dimension, rank, rref
-from involutive.linalg import invert
+from involutive import cartan_test, prolongation_dimension, rank, rref
+from involutive.linalg import _integer_rows, invert
 from involutive import linalg as linalg_mod
 from involutive import tableau as tableau_mod
 from involutive.tableau import (
@@ -105,6 +105,23 @@ class TestTableauBasics:
         p = make_310(P1=2, Q=5)
         tab = tableau_from_coefficients(p)
         assert tab.dim == p.characters.dim
+
+    def test_rows_are_the_integer_spanning_matrices(self):
+        tab = Tableau(1, 2, [RatMatrix.from_rows([[1, Fraction(1, 2)]]),
+                             RatMatrix.from_rows([[Fraction(-2, 3), 0]])])
+        assert tab.rows == ([[2, 1]], [[-2, 0]])
+        with pytest.raises(AttributeError):
+            tab.rows = ()
+        for k, tab in enumerate(staircase_corpus(17, 12, "random")):
+            tab = Tableau(tab.r, tab.n,
+                          [m.scale(Fraction(j % 3 + 1, j % 4 + 2))
+                           for j, m in enumerate(tab.span)])
+            assert tab.rows == tuple(_integer_rows(m) for m in tab.span)
+            before = [[line[:] for line in m] for m in tab.rows]
+            first = cartan_test(tab, seed=k)
+            second = cartan_test(tab, seed=k)
+            assert tab.rows == tuple(before)
+            assert first == second
 
 
 def _divided_by_pivots(rows, cols):
