@@ -26,12 +26,12 @@ class TableauDocument:
     r: int
     n: int
     presentation: str  # "basis" or "coefficients"
-    basis: Optional[tuple] = None               # tuple of RatMatrix
+    basis: Optional[Tableau] = None
     symbol: Optional[SymbolPresentation] = None
 
     def tableau(self) -> Tableau:
         if self.presentation == "basis":
-            return Tableau(self.r, self.n, self.basis)
+            return self.basis
         return self.symbol.tableau()
 
 
@@ -72,8 +72,8 @@ def document_from_dict(data: dict) -> TableauDocument:
                          f"{field}[{ri}]", f"must have {n} entries")
                 rows.append([_parse_value(e, f"{field}[{ri}][{ci}]")
                              for ci, e in enumerate(row)])
-            span.append(RatMatrix.from_rows(rows))
-        return TableauDocument(r, n, "basis", basis=tuple(span))
+            span.append(rows)
+        return TableauDocument(r, n, "basis", Tableau._from_rows(r, n, span))
     if pres == "coefficients":
         chars_raw = data.get("characters")
         _require(isinstance(chars_raw, list) and len(chars_raw) == n,

@@ -97,7 +97,7 @@ def w_plus(barr: BArray, i: int) -> Subspace:
     return coordinate_subspace(barr.r, range(s_i, barr.r))
 
 
-def _leading_index(barr: BArray, phi: Sequence[Fraction]) -> int:
+def _leading_index(phi: Sequence[Fraction]) -> int:
     for idx, c in enumerate(phi, start=1):
         if c != 0:
             return idx
@@ -105,7 +105,7 @@ def _leading_index(barr: BArray, phi: Sequence[Fraction]) -> int:
 
 
 def w_minus_of_phi(barr: BArray, phi: Sequence[Fraction]) -> Subspace:
-    return w_minus(barr, _leading_index(barr, phi))
+    return w_minus(barr, _leading_index(phi))
 
 
 def b_of_phi(barr: BArray, phi: Sequence[Fraction],
@@ -145,7 +145,7 @@ def _w1_system(barr: BArray, d: int, grid: list, phi: list[int]) -> list:
     if not any(phi):
         raise ZeroCovector("phi has no component in U*")
     eye = [[int(a == b) for b in range(barr.r)] for a in range(barr.r)]
-    s_k = barr.characters.s[_leading_index(barr, phi) - 1]
+    s_k = barr.characters.s[_leading_index(phi) - 1]
     return [line for mu in range(barr.ell) for line in _combination(
         [(c, grid[lam][mu]) for lam, c in enumerate(phi) if c]
         + [(-d * phi[mu], eye)], barr.r)] + eye[s_k:]

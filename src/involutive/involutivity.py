@@ -32,6 +32,7 @@ from .tableau import (
     SymbolPresentation,
     Tableau,
     _find_generic_basis,
+    _flat,
     _reduce,
     extract_symbol_coefficients,
 )
@@ -408,8 +409,7 @@ def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
     not lie in A.
     """
     r, n = tab.r, tab.n
-    flat = [[m[a][i] for i in range(n) for a in range(r)]  # column-major
-            for m in tab.rows]
+    flat = _flat(tab.rows, r, n)
     elems = flat[:len(_pivot_columns(flat, 0, reduced=True))]
     rows = []
     for i in range(n):

@@ -17,10 +17,11 @@ row by its pivot only when it forms the output, which is the unique
 reduced row echelon form.  So reduced forms, kernels (``kernel_basis``),
 solutions (``solve``) and inverses (``invert``) are computed over Z,
 with ``Fraction`` only in the output.  ``_scaled`` is the only scaler of
-rationals to integers in the package; ``tableau`` and ``involutivity``
-share ``_integer_rows`` and ``_rank`` (the rank of integer rows, left
-intact), and run ``_pivot_columns`` on integer rows directly, so the
-analyze path makes no product; ``@`` multiplies ``Fraction`` entries.
+rationals to integers in the package: ``Tableau`` applies it once to
+each spanning matrix, ``_integer_rows`` to a ``RatMatrix`` (for ``rank``,
+``rref``, ``Tableau.contains`` and basis pairs); ``tableau`` and
+``involutivity`` rank integer rows with ``_rank`` or ``_pivot_columns``,
+so the analyze path makes no product; ``@`` multiplies ``Fraction`` entries.
 
 The same loop, run modulo the prime ``MODULUS``, is
 ``pivot_columns_mod_p``.  A rank mod p is at most the rank over Q, so

@@ -22,12 +22,14 @@ from typing import Optional
 
 from .linalg import (
     RatMatrix,
+    _denominator_lcm,
     _integer_rows,
     _pivot_columns,
     _random_invertible_rows,
+    _rank,
+    _scaled,
     pivot_columns_mod_p,
     rank,
-    vstack,
 )
 
 
@@ -166,83 +168,102 @@ class SymbolPresentation:
 
     def generator_slots(self) -> list[tuple[int, int]]:
         """Staircase slots (lam, b) in column-then-row order."""
-        return [(lam, b)
-                for lam in range(1, self.n + 1)
-                for b in range(1, self.characters.s[lam - 1] + 1)]
+        return _slots(self.characters.s)
 
     def generator_matrix(self, lam: int, b: int) -> RatMatrix:
         """Spanning matrix for the generator z^b_lam (all other z zero)."""
+        return RatMatrix.from_rows(self._generator_entries(lam, b))
+
+    def _generator_entries(self, lam: int, b: int) -> list[list]:
+        """``generator_matrix(lam, b)`` as r x n nested entries."""
         s = self.characters.s
-        entries = [[Fraction(0)] * self.n for _ in range(self.r)]
-        entries[b - 1][lam - 1] = Fraction(1)
+        entries = [[0] * self.n for _ in range(self.r)]
+        entries[b - 1][lam - 1] = 1
         for i in range(lam, self.n + 1):
             for a in range(s[i - 1] + 1, self.r + 1):
-                v = self.coefficient(a, lam, i, b)
+                v = self.coefficients.get((a, lam, i, b))
                 if v:
                     entries[a - 1][i - 1] = v
-        return RatMatrix.from_rows(entries)
+        return entries
 
     def tableau(self) -> "Tableau":
         return tableau_from_coefficients(self)
 
 
 class Tableau:
-    """A subspace of W (x) V*, r x n matrices, held by a spanning set;
-    ``rows`` holds the same matrices as integer rows (``_integer_rows``),
-    converted once for every stage.  No reader writes into them."""
+    """A subspace of W (x) V*: spanning r x n matrix k is ``rows[k] /
+    scales[k]``, integer rows over the lcm of its denominators, all set
+    by ``_from_rows``.  No reader writes into ``rows``; ``span``
+    rebuilds the ``RatMatrix`` tuple on each read."""
 
-    __slots__ = ("r", "n", "span", "rows")
+    __slots__ = ("r", "n", "scales", "rows")
 
-    def __init__(self, r: int, n: int, span):
-        span = tuple(span)
+    def __new__(cls, r: int, n: int, span):
+        mats = []
         for m in span:
             if m.rows != r or m.cols != n:
                 raise ValueError(f"spanning matrix is {m.rows}x{m.cols}, "
                                  f"expected {r}x{n}")
-        self.r = r
-        self.n = n
-        self.span = span
-        self.rows = tuple([_integer_rows(m) for m in span])
+            mats.append(m.row_list())
+        return cls._from_rows(r, n, mats)
+
+    @classmethod
+    def _from_rows(cls, r: int, n: int, mats: list) -> "Tableau":
+        """Tableau spanned by ``mats``, r x n nested rows of ints or
+        ``Fraction``s, each scaled by the lcm of its denominators."""
+        tab = object.__new__(cls)
+        tab.r, tab.n = r, n
+        tab.scales = tuple([_denominator_lcm([e for row in m for e in row])
+                            for m in mats])
+        tab.rows = tuple([[_scaled(row, d) for row in m]
+                          for m, d in zip(mats, tab.scales)])
+        return tab
 
     def __setattr__(self, name, value):
         if hasattr(self, "rows"):
             raise AttributeError("Tableau is immutable")
         super().__setattr__(name, value)
 
+    @property
+    def span(self) -> tuple[RatMatrix, ...]:
+        return tuple([RatMatrix(self.r, self.n,
+                                [Fraction(e, d) for row in m for e in row])
+                      for m, d in zip(self.rows, self.scales)])
+
     def stacked(self, basis: Optional[BasisPair] = None) -> RatMatrix:
         """Spanning set as rows of flattened (column-major) vectors."""
-        if not self.span:
-            return RatMatrix.zeros(0, self.r * self.n)
-        rows = []
-        for m in self.span:
-            if basis is not None:
-                m = basis.apply(m)
-            rows.append([m[a, i] for i in range(self.n) for a in range(self.r)])
-        return RatMatrix.from_rows(rows)
+        mats = [m if basis is None else basis.apply(m) for m in self.span]
+        flat = _flat([m.row_list() for m in mats], self.r, self.n)
+        return RatMatrix(len(flat), self.r * self.n,
+                         [e for row in flat for e in row])
 
     @property
     def dim(self) -> int:
-        return rank(self.stacked())
+        return _rank(_flat(self.rows, self.r, self.n))
 
     def contains(self, pi: RatMatrix) -> bool:
-        flat = RatMatrix.from_rows(
-            [[pi[a, i] for i in range(self.n) for a in range(self.r)]])
-        m = self.stacked()
-        return rank(vstack([m, flat])) == rank(m)
+        m = _flat(self.rows + (_integer_rows(pi),), self.r, self.n)
+        return _rank(m) == _rank(m[:-1])
 
     @classmethod
     def full(cls, r: int, n: int) -> "Tableau":
-        span = []
-        for a in range(r):
-            for i in range(n):
-                e = RatMatrix.zeros(r, n).row_list()
-                e[a][i] = Fraction(1)
-                span.append(RatMatrix.from_rows(e))
-        return cls(r, n, span)
+        return cls._from_rows(r, n, [
+            [[int(b == a and j == i) for j in range(n)] for b in range(r)]
+            for a in range(r) for i in range(n)])
 
     @classmethod
     def zero(cls, r: int, n: int) -> "Tableau":
         return cls(r, n, [])
+
+
+def _flat(mats, r: int, n: int) -> list[list]:
+    """Each r x n matrix of ``mats`` (nested rows) flattened column-major."""
+    return [[m[a][i] for i in range(n) for a in range(r)] for m in mats]
+
+
+def _slots(s: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Staircase slots (lam, b), 1-based, column by column."""
+    return [(lam, b) for lam, k in enumerate(s, 1) for b in range(1, k + 1)]
 
 
 def _reduce(tab: Tableau, basis: BasisPair) -> tuple[list[list[int]],
@@ -288,9 +309,7 @@ def characters_in_basis(tab: Tableau, basis: BasisPair) -> CartanCharacters:
 def _staircase_order(s: tuple[int, ...], r: int) -> list[int]:
     """All flat positions, the staircase slots (b, lam) first, column by
     column, then the others in order."""
-    stair = [(lam - 1) * r + (b - 1)
-             for lam in range(1, len(s) + 1)
-             for b in range(1, s[lam - 1] + 1)]
+    stair = [(lam - 1) * r + (b - 1) for lam, b in _slots(s)]
     taken = set(stair)
     return stair + [c for c in range(r * len(s)) if c not in taken]
 
@@ -469,7 +488,7 @@ def _find_generic_basis(tab: Tableau, seed: int, trials: int,
         if CartanCharacters(chars).cartan_bound != dim_a1:
             return False
         total = sum(chars)
-        if total == len(tab.span):    # rank mod p <= exact rank <= rows
+        if total == len(tab.rows):    # rank mod p <= exact rank <= rows
             return True
         if dim_a is None:
             dim_a = tab.dim
@@ -519,29 +538,25 @@ def extract_symbol_coefficients(tab: Tableau,
     chars = CartanCharacters(s)
     if not chars.is_weakly_decreasing():
         raise NonGenericBasis(f"characters {chars.s} not weakly decreasing")
-    r, n = tab.r, tab.n
-    adapted = _staircase_rows(rows, s, r, reduced=True)
+    adapted = _staircase_rows(rows, s, tab.r, reduced=True)
     if adapted is None:
         raise NonGenericBasis("staircase projection is not bijective")
-    others = _staircase_order(s, r)[len(rows):]
+    others = _staircase_order(s, tab.r)[len(rows):]
     coeffs = {}
-    slots = [(lam, b) for lam in range(1, n + 1)
-             for b in range(1, s[lam - 1] + 1)]
-    for g, (lam, b) in enumerate(slots):
+    for g, (lam, b) in enumerate(_slots(s)):
         row = adapted[g]
         for c, val in zip(others, row[len(rows):]):
             if val == 0:
                 continue
-            i, a = divmod(c, r)
+            i, a = divmod(c, tab.r)
             coeffs[(a + 1, lam, i + 1, b)] = Fraction(val, row[g])
-    return SymbolPresentation(r, chars, coeffs)
+    return SymbolPresentation(tab.r, chars, coeffs)
 
 
 def tableau_from_coefficients(p: SymbolPresentation) -> Tableau:
     """Spanning-set tableau generated by the staircase presentation."""
-    return Tableau(p.r, p.n,
-                   [p.generator_matrix(lam, b)
-                    for (lam, b) in p.generator_slots()])
+    return Tableau._from_rows(p.r, p.n, [p._generator_entries(lam, b)
+                                         for lam, b in p.generator_slots()])
 
 
 def decompose_element(p: SymbolPresentation, pi: RatMatrix) -> list[RatMatrix]:
@@ -552,24 +567,16 @@ def decompose_element(p: SymbolPresentation, pi: RatMatrix) -> list[RatMatrix]:
     generator combinations; raises NotInTableau otherwise.
     """
     s = p.characters.s
-    zs = []
     recon = RatMatrix.zeros(p.r, p.n)
-    for lam in range(1, p.n + 1):
-        z = [Fraction(0)] * p.r
-        for b in range(1, s[lam - 1] + 1):
-            z[b - 1] = pi[b - 1, lam - 1]
-            if z[b - 1]:
-                recon = recon + p.generator_matrix(lam, b).scale(z[b - 1])
-        zs.append(RatMatrix.column(z))
+    for lam, b in _slots(s):
+        recon += p.generator_matrix(lam, b).scale(pi[b - 1, lam - 1])
     if recon != pi:
         raise NotInTableau("element is not in the tableau")
-    return zs
+    return [RatMatrix.column([pi[b, lam] if b < s[lam] else 0
+                              for b in range(p.r)]) for lam in range(p.n)]
 
 
 def restrict_to_U(tab: Tableau, basis: BasisPair, ell: int) -> Tableau:
     """Image of A in W (x) U*: truncate to the first ell columns."""
-    span = []
-    for m in tab.span:
-        t = basis.apply(m)
-        span.append(t.select_columns(range(ell)))
-    return Tableau(tab.r, ell, span)
+    return Tableau(tab.r, ell, [basis.apply(m).select_columns(range(ell))
+                                for m in tab.span])

@@ -4,7 +4,8 @@
 involutivity is decided by a single condition T2 = R3; the free
 coefficients P1, P2, P3, Q, T3 never matter.  ``presentation_321`` is
 the r=3, characters (3,2,1) family with named slots P*, Q*, R*, T*.
-``staircase_corpus`` draws seeded tableaux of every small shape.
+``staircase_corpus`` draws seeded tableaux of every small shape, and
+``endovolutive_corpus`` seeded endovolutive presentations.
 ``fraction_reduction`` and ``fraction_extraction`` are references
 computed with ``Fraction`` products, ``rref`` and ``invert``.
 ``random_matrix``, ``random_invertible``, ``random_invertible_rng``
@@ -126,6 +127,24 @@ def staircase_corpus(seed, count, scramble=None):
             tab = Tableau(r, n, [RatMatrix.from_rows(m.row_list()[::-1])
                                  for m in tab.span])
         out.append(tab)
+    return out
+
+
+def endovolutive_corpus(seed, count, values=(0, 0, 1, -1, 2)):
+    """Seeded presentations with ell >= 1 and every free endovolutive
+    slot drawn from ``values`` (by default {0, 0, 1, -1, 2}, so about a
+    quarter are not involutive); n <= 4 and r <= 4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, r = rng.randint(1, 4), rng.randint(1, 4)
+        chars = CartanCharacters(tuple(sorted(
+            (rng.randint(0, r) for _ in range(n)), reverse=True)))
+        if chars.ell == 0:
+            continue
+        asg = {v: Fraction(rng.choice(values))
+               for v in coefficient_variables(chars)}
+        out.append(presentation_from_assignment(chars, asg, r=r))
     return out
 
 

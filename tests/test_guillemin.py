@@ -28,7 +28,7 @@ from involutive.involutivity import NotEndovolutive, prolongation_dimension
 from involutive.linalg import kernel_basis, rank, vstack
 from involutive.moduli import coefficient_variables, presentation_from_assignment
 from involutive.tableau import restrict_to_U
-from conftest import make_310, make_321
+from conftest import endovolutive_corpus, make_310, make_321
 
 
 def e(n, i):
@@ -307,24 +307,6 @@ def _old_check_theorem_a(tab, seed=0, trials=32):
     return cartan_test(restricted, seed=seed, trials=trials).involutive
 
 
-def _endovolutive_corpus(seed, count, values=(0, 0, 1, -1, 2)):
-    """Seeded presentations with ell >= 1 and every free endovolutive
-    slot drawn from ``values`` (by default {0, 0, 1, -1, 2}, so about a
-    quarter are not involutive); n <= 4 and r <= 4."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n, r = rng.randint(1, 4), rng.randint(1, 4)
-        chars = CartanCharacters(tuple(sorted(
-            (rng.randint(0, r) for _ in range(n)), reverse=True)))
-        if chars.ell == 0:
-            continue
-        asg = {v: Fraction(rng.choice(values))
-               for v in coefficient_variables(chars)}
-        out.append(presentation_from_assignment(chars, asg, r=r))
-    return out
-
-
 # A "commutator" witness needs n >= ell + 2, since B(phi)(e_mu) acts on
 # W^1(phi) as phi_mu for every mu <= ell; this one has phi = (1, 0, 0).
 COMMUTATOR_EXAMPLE = SymbolPresentation(
@@ -333,7 +315,7 @@ COMMUTATOR_EXAMPLE = SymbolPresentation(
 
 
 class TestSameAsMatrixArithmetic:
-    corpus = _endovolutive_corpus(13, 120) + [COMMUTATOR_EXAMPLE]
+    corpus = endovolutive_corpus(13, 120) + [COMMUTATOR_EXAMPLE]
 
     @staticmethod
     def phis(barr, rng):
@@ -384,7 +366,7 @@ class TestIntegerRowsOnRationalArrays:
     """The integer-row checks scale the blocks, phi, each v and the
     W^1(phi) basis by their denominators; on rational input they must
     still agree with the matrix arithmetic above."""
-    corpus = _endovolutive_corpus(19, 60, values=(
+    corpus = endovolutive_corpus(19, 60, values=(
         0, 0, 1, -2, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
         Fraction(-3, 2)))
 

@@ -19,7 +19,9 @@ from involutive import (
     tableau_from_coefficients,
 )
 from involutive import cartan_test, prolongation_dimension, rank, rref
-from involutive.linalg import _integer_rows, invert
+from involutive.document import document_from_dict, presentation_to_dict
+from involutive.linalg import (_denominator_lcm, _integer_rows, invert,
+                               parse_rational)
 from involutive import linalg as linalg_mod
 from involutive import tableau as tableau_mod
 from involutive.tableau import (
@@ -30,6 +32,7 @@ from involutive.tableau import (
     decompose_element,
 )
 from conftest import (
+    endovolutive_corpus,
     fraction_extraction,
     make_310,
     random_invertible_rng,
@@ -137,6 +140,100 @@ def _extraction_outcome(extract, tab, basis):
         return extract(tab, basis)
     except NonGenericBasis as exc:
         return str(exc)
+
+
+def _stored(tab):
+    return tab.rows, tab.scales
+
+
+def _old_stored(mats):
+    """``rows`` and ``scales`` as the old constructor computed them, from
+    ``RatMatrix`` spanning matrices."""
+    return (tuple([_integer_rows(m) for m in mats]),
+            tuple([_denominator_lcm(m.entries()) for m in mats]))
+
+
+class TestConstructionPaths:
+    """``Tableau(r, n, span)``, the document parser and
+    ``tableau_from_coefficients`` store the same integer rows and scales
+    as the old path through ``RatMatrix`` spanning matrices, and ``span``
+    gives those matrices back exactly."""
+
+    def test_spanning_matrices(self):
+        for scramble in (None, "random", "rows"):
+            for tab in staircase_corpus(31, 20, scramble):
+                mats = [m.scale(Fraction(j % 3 + 1, j % 4 + 2))
+                        for j, m in enumerate(tab.span)]
+                built = Tableau(tab.r, tab.n, mats)
+                assert _stored(built) == _old_stored(mats)
+                assert built.span == tuple(mats)
+
+    def test_presentations(self):
+        values = (0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+        corpus = endovolutive_corpus(23, 60, values=values) + [make_310(
+            P1=Fraction(1, 2), Q=Fraction(-1, 3), T2=Fraction(2, 3))]
+        scales = set()
+        for p in corpus:
+            mats = [p.generator_matrix(lam, b)
+                    for lam, b in p.generator_slots()]
+            tab = tableau_from_coefficients(p)
+            assert _stored(tab) == _stored(Tableau(p.r, p.n, mats))
+            assert _stored(tab) == _old_stored(mats)
+            assert tab.span == tuple(mats)
+            scales.update(tab.scales)
+        assert {2, 3, 6} <= scales
+
+    def test_basis_document(self):
+        data = {"r": 2, "n": 2, "presentation": "basis",
+                "basis": [[["1", "1/2"], ["-1/2", "0"]],
+                          [["0", "2/3"], ["1/6", "3"]],
+                          [["4", "0"], ["0", "-7"]]]}
+        mats = [RatMatrix.from_rows([[parse_rational(e) for e in row]
+                                     for row in m]) for m in data["basis"]]
+        tab = document_from_dict(data).tableau()
+        assert _stored(tab) == _old_stored(mats)
+        assert tab.scales == (2, 6, 1)
+        assert tab.span == tuple(mats)
+
+    def test_full(self):
+        for r, n in ((1, 1), (2, 3), (3, 2)):
+            span = []
+            for a in range(r):
+                for i in range(n):
+                    e = RatMatrix.zeros(r, n).row_list()
+                    e[a][i] = Fraction(1)
+                    span.append(RatMatrix.from_rows(e))
+            full = Tableau.full(r, n)
+            assert _stored(full) == _stored(Tableau(r, n, span))
+            assert full.span == tuple(span)
+
+    def test_stored_form_is_read_only(self):
+        tab = tableau_from_coefficients(make_310(P1=Fraction(1, 2)))
+        for name, value in (("span", ()), ("rows", ()), ("scales", ()),
+                            ("r", 4)):
+            with pytest.raises(AttributeError):
+                setattr(tab, name, value)
+        assert tab.r == 3 and tab.scales[0] == 2
+
+    def test_no_ratmatrix_on_the_input_paths(self, monkeypatch):
+        docs = [{"r": 1, "n": 2, "presentation": "basis",
+                 "basis": [[["1", "0"]], [["0", "1/2"]]]},
+                presentation_to_dict(make_310(P1=Fraction(1, 2), Q=3))]
+        presentations = endovolutive_corpus(5, 20, values=(
+            0, 1, Fraction(1, 2), Fraction(-2, 3)))
+        calls = []
+        init = RatMatrix.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(RatMatrix, "__init__", counting)
+        tabs = [document_from_dict(d).tableau() for d in docs]
+        tabs += [tableau_from_coefficients(p) for p in presentations]
+        assert calls == []
+        # the counter sees the two matrices that reading span builds
+        assert len(tabs[0].span) == 2 and len(calls) == 2
 
 
 class TestCharacters:
