@@ -9,10 +9,12 @@ prolongation-restriction comparison).
 Everything is read off the blocks B^lam_i entry by entry, as
 ``block[a][b]`` of their nested lists: W^1(phi) is the kernel of one
 stacked system, whose rank gives its dimension, and commutators are
-tested on the images B(v)z, so no r x r product forms.  They are
-integer rows: the blocks, phi, each v and the basis of W^1(phi) are
-scaled once per call by the lcm of their denominators.  The generic
-dimension is a mode over seeded draws of phi, not a certified figure.
+tested on the images B(v)z, so no r x r product forms.  Both checks
+are linear in v, so they run over the coordinate basis of V, which
+decides every v.  They are integer rows: the blocks, phi and the basis
+of W^1(phi) are scaled once per call by the lcm of their denominators.
+The generic dimension is a mode over seeded draws of phi, not a
+certified figure.
 """
 
 from __future__ import annotations
@@ -195,25 +197,22 @@ def _apply(m: list[list[int]], z: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(line, z)) for line in m]
 
 
-def check_gnf_commutativity(barr: BArray, phi: Sequence[Fraction],
-                            sample_vectors: Sequence[Sequence] = (),
+def check_gnf_commutativity(barr: BArray, phi: Sequence[Fraction]
                             ) -> tuple[bool, Optional[dict]]:
     """Stability of W^1(phi) under B(phi)(v) and commutator vanishing.
 
-    Tests all pairs drawn from ``sample_vectors`` plus the coordinate
-    basis of V.  Returns (True, None) or (False, witness) with the
-    first offending vector pair and element.  Each image B(v)z is
-    formed once; the commutator on z is B(v)(B(v~)z) - B(v~)(B(v)z).
-    An image lies in W^1(phi) when the rows that define it vanish on it.
+    Both conditions are linear in v (the commutator is bilinear), so
+    the coordinate basis e_1, ..., e_n of V decides them for every v.
+    Returns (True, None) or (False, witness) with the first offending
+    vector pair and element.  Each image B(e_i)z is formed once; the
+    commutator on z is B(v)(B(v~)z) - B(v~)(B(v)z).  An image lies in
+    W^1(phi) when the rows that define it vanish on it.
     """
     grid, phi, system, w1 = _w1(barr, phi)
-    vs = [tuple(Fraction(x) for x in v) for v in sample_vectors]
-    vs += [tuple(Fraction(int(j == i)) for j in range(barr.n))
-           for i in range(barr.n)]
-    mats = [_combination([(c * x, grid[lam][i])
-                          for lam, c in enumerate(phi) if c
-                          for i, x in enumerate(w) if x], barr.r)
-            for w in (_scaled(v[:barr.n]) for v in vs)]
+    vs = [tuple(Fraction(int(j == i)) for j in range(barr.n))
+          for i in range(barr.n)]
+    mats = [_combination([(c, grid[lam][i]) for lam, c in enumerate(phi)
+                          if c], barr.r) for i in range(barr.n)]
     zs = [_scaled(z.entries()) for z in w1.basis]
     images = [[_apply(m, z) for z in zs] for m in mats]
     for v, mzs in zip(vs, images):

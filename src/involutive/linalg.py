@@ -38,8 +38,6 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 QQ = Fraction  # short constructor alias, QQ(2, 3) etc.
 
 

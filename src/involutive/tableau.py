@@ -32,6 +32,8 @@ from .linalg import (
     rank,
 )
 
+_ZERO = Fraction(0)   # every absent coefficient
+
 
 class TableauError(Exception):
     pass
@@ -87,8 +89,6 @@ class CartanCharacters:
     def require_staircase(self):
         if not self.is_weakly_decreasing():
             raise ValueError(f"characters {self.s} are not weakly decreasing")
-        if self.ell and any(x > 0 for x in self.s[self.ell:]):
-            raise ValueError("nonzero character after ell")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class SymbolPresentation:
         return self.characters.n
 
     def coefficient(self, a: int, lam: int, i: int, b: int) -> Fraction:
-        return self.coefficients.get((a, lam, i, b), Fraction(0))
+        return self.coefficients.get((a, lam, i, b), _ZERO)
 
     def generator_slots(self) -> list[tuple[int, int]]:
         """Staircase slots (lam, b) in column-then-row order."""
@@ -295,10 +295,16 @@ def _reduce_rows(r: int, span, w, q) -> tuple[list[list[int]],
     rows = [[sum(x * y for x, y in zip(w_row, col))
              for col in cols for w_row in w] for cols in _pi_q(span, q)]
     pivots = _pivot_columns(rows, 0, reduced=True)
-    counts = [0] * len(q)
-    for p in pivots:
-        counts[p // r] += 1
-    return rows[:len(pivots)], tuple(counts)
+    return rows[:len(pivots)], _counts(pivots, r, len(q))
+
+
+def _counts(pivots: list[int], r: int, n: int) -> tuple[int, ...]:
+    """Characters from the pivot columns of stacked column-major rows:
+    s_k counts the pivots among the r coordinates of column k."""
+    counts = [0] * n
+    for c in pivots:
+        counts[c // r] += 1
+    return tuple(counts)
 
 
 def characters_in_basis(tab: Tableau, basis: BasisPair) -> CartanCharacters:
@@ -314,12 +320,11 @@ def _staircase_order(s: tuple[int, ...], r: int) -> list[int]:
     return stair + [c for c in range(r * len(s)) if c not in taken]
 
 
-def _staircase_rows(rows: list[list[int]], s: tuple[int, ...], r: int,
-                    reduced: bool = False) -> Optional[list[list[int]]]:
+def _staircase_rows(rows: list[list[int]], s: tuple[int, ...],
+                    r: int) -> Optional[list[list[int]]]:
     """``rows``, as ``_reduce`` returns them, with their columns in
-    ``_staircase_order`` and eliminated over Z (Gauss-Jordan with
-    ``reduced``), or None when the staircase projection is not
-    level-wise bijective.
+    ``_staircase_order`` and eliminated over Z (Gauss-Jordan), or None
+    when the staircase projection is not level-wise bijective.
 
     Bijective means, for each k, that the staircase slots of columns
     <= k span the projection of A onto the first k columns (generators
@@ -333,12 +338,12 @@ def _staircase_rows(rows: list[list[int]], s: tuple[int, ...], r: int,
     the staircase slots of column k.  Every level is bijective exactly
     when every diagonal block is invertible, that is, when the whole
     matrix is: when the permuted rows pivot in the first ``dim A``
-    columns.  With ``reduced``, row g is then the element whose
-    staircase slots are the g-th unit vector, times its pivot entry.
+    columns.  Row g is then the element whose staircase slots are the
+    g-th unit vector, times its pivot entry.
     """
     order = _staircase_order(s, r)
     a = [[row[c] for c in order] for row in rows]
-    if _pivot_columns(a, 0, reduced) != list(range(len(rows))):
+    if _pivot_columns(a, 0, reduced=True) != list(range(len(rows))):
         return None
     return a
 
@@ -365,45 +370,34 @@ def _pi_q(span, q) -> list[list[list[int]]]:
              for q_col in q_cols] for m in span]
 
 
-def _exact_evaluator(tab: Tableau):
+def _evaluator(tab: Tableau, pivots):
     """Characters of an integer candidate pair and a thunk for its
-    staircase check, from one exact reduction."""
-    def evaluate(pair):
-        rows, chars = _reduce_rows(tab.r, tab.rows, *pair)
-        return chars, lambda: _staircase_rows(rows, chars, tab.r) is not None
-    return evaluate
+    staircase check, from the pivot columns that ``pivots`` finds in
+    integer rows: ``pivot_columns_mod_p`` (lower bounds) or an exact
+    routine.
 
-
-def _modular_evaluator(tab: Tableau):
-    """``_exact_evaluator``'s values from ranks mod p (lower bounds).
-
-    The spanning set is read as ``tab.rows``, and candidates are integer
-    pairs.  The characters of (P, Q) are those of (I, Q): pi -> P pi is
-    invertible on every column prefix.  So a candidate costs the integer
-    products pi Q and one elimination mod p, which is never below that
-    of P pi Q; only the staircase check, run for candidates that can
+    The spanning set is read as ``tab.rows``.  The characters of (P, Q)
+    are those of (I, Q): pi -> P pi is invertible on every column
+    prefix.  So a candidate costs the integer products pi Q and one
+    elimination; only the staircase check, run for candidates that can
     replace the best one, forms P (pi Q) on the staircase slots.  The
     staircase columns of the stacked matrix have the rank of those of
-    its RREF.
+    its RREF (``_staircase_rows``).
     """
     r, n = tab.r, tab.n
 
     def evaluate(pair):
         w, q = pair
         prods = _pi_q(tab.rows, q)
-        pivots = pivot_columns_mod_p([[e for col in cols for e in col]
-                                      for cols in prods])
-        counts = [0] * n
-        for c in pivots:
-            counts[c // r] += 1
-        chars = tuple(counts)
+        found = pivots([[e for col in cols for e in col] for cols in prods])
+        chars = _counts(found, r, n)
 
         def staircase():
-            stair = pivot_columns_mod_p(
+            stair = pivots(
                 [[sum(x * y for x, y in zip(w[b], cols[lam]))
                   for lam in range(n) for b in range(chars[lam])]
                  for cols in prods])
-            return len(stair) == len(pivots)
+            return len(stair) == len(found)
         return chars, staircase
     return evaluate
 
@@ -465,10 +459,10 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
     seeded search, and the winner is reduced exactly.  If its exact
     characters or staircase flag differ from the mod-p ones, p divides
     a minor the comparison read (an unlucky prime), and the search is
-    rerun with exact elimination.  So the returned characters are always
-    exact in the returned flag, and the pair is the exact search's
-    unless p divides a nonzero minor of another candidate, which no
-    lower bound can detect.
+    rerun with the same evaluator on exact ranks.  So the returned
+    characters are always exact in the returned flag, and the pair is
+    the exact search's unless p divides a nonzero minor of another
+    candidate, which no lower bound can detect.
     """
     bp, chars, _ = _find_generic_basis(tab, seed, trials, dim_a1)
     return bp, chars
@@ -495,7 +489,8 @@ def _find_generic_basis(tab: Tableau, seed: int, trials: int,
         return total == dim_a
 
     pair, chars, ok, done = _search(_candidates(tab.r, tab.n, seed, trials),
-                                    _modular_evaluator(tab), certified)
+                                    _evaluator(tab, pivot_columns_mod_p),
+                                    certified)
     bp = _basis_pair(pair)
     reduced = None
     if not done:
@@ -505,7 +500,8 @@ def _find_generic_basis(tab: Tableau, seed: int, trials: int,
         if (exact_chars, exact_ok) != (chars, ok):
             pair, chars, _, _ = _search(
                 _candidates(tab.r, tab.n, seed, trials),
-                _exact_evaluator(tab), certified)
+                _evaluator(tab, lambda rows: _pivot_columns(rows, 0)),
+                certified)
             bp = _basis_pair(pair)
             reduced = None
     return bp, CartanCharacters(chars), reduced
@@ -538,7 +534,7 @@ def extract_symbol_coefficients(tab: Tableau,
     chars = CartanCharacters(s)
     if not chars.is_weakly_decreasing():
         raise NonGenericBasis(f"characters {chars.s} not weakly decreasing")
-    adapted = _staircase_rows(rows, s, tab.r, reduced=True)
+    adapted = _staircase_rows(rows, s, tab.r)
     if adapted is None:
         raise NonGenericBasis("staircase projection is not bijective")
     others = _staircase_order(s, tab.r)[len(rows):]

@@ -176,10 +176,14 @@ class TestCommutativity:
             assert ok, witness
 
     def test_extra_sample_vectors(self):
+        # the coordinate basis of V decides every v (linearity): the
+        # reference given extra vectors returns the same verdict
         barr = build_b_array(make_310(T2=2, R3=2, P2=1))
-        ok, witness = check_gnf_commutativity(
-            barr, [1, 1], sample_vectors=[[1, 2, 3], [0, 1, -1]])
-        assert ok, witness
+        got = check_gnf_commutativity(barr, [1, 1])
+        assert got == (True, None)
+        assert got == _old_check_gnf_commutativity(barr, [1, 1])
+        assert got == _old_check_gnf_commutativity(
+            barr, [1, 1], [[1, 2, 3], [0, 1, -1]])
 
     def test_random_involutive_samples(self):
         rng = random.Random(6)
@@ -347,10 +351,12 @@ class TestSameAsMatrixArithmetic:
             barr = build_b_array(pres)
             for phi in self.phis(barr, rng):
                 sample = [[rng.randint(-2, 2) for _ in range(barr.n)]]
-                for vs in ((), sample):
-                    got = check_gnf_commutativity(barr, phi, vs)
-                    assert got == _old_check_gnf_commutativity(barr, phi, vs)
-                    kinds.add(got[1] and got[1]["kind"])
+                got = check_gnf_commutativity(barr, phi)
+                assert got == _old_check_gnf_commutativity(barr, phi)
+                # linearity: an extra vector changes no verdict
+                assert got[0] == \
+                    _old_check_gnf_commutativity(barr, phi, sample)[0]
+                kinds.add(got[1] and got[1]["kind"])
         assert kinds == {None, "not-endomorphism", "commutator"}
 
     def test_theorem_a(self):
@@ -403,16 +409,18 @@ class TestIntegerRowsOnRationalArrays:
                 if not any(phi[:barr.ell]):
                     continue
                 sample = [self.rational(rng, barr.n, -2, 2)]
-                for vs in ((), sample):
-                    got = check_gnf_commutativity(barr, phi, vs)
-                    assert got == _old_check_gnf_commutativity(barr, phi, vs)
-                    kinds.add(got[1] and got[1]["kind"])
+                got = check_gnf_commutativity(barr, phi)
+                assert got == _old_check_gnf_commutativity(barr, phi)
+                # linearity: an extra vector changes no verdict
+                assert got[0] == \
+                    _old_check_gnf_commutativity(barr, phi, sample)[0]
+                kinds.add(got[1] and got[1]["kind"])
         assert kinds == {None, "not-endomorphism", "commutator"}
 
     def test_sample_vector_keeps_its_denominators(self):
         # B(v) maps W^1(phi) into itself for this v, but not for the
-        # vector of its numerators, (1, -1, -1, -1); the first offence
-        # is then at the coordinate vector e_3
+        # vector of its numerators, (1, -1, -1, -1); the reference given
+        # v first offends at the coordinate vector e_3, as the check does
         one = Fraction(1)
         pres = SymbolPresentation(2, CartanCharacters((2, 1, 0, 0)), {
             (2, 1, 2, 1): -one, (2, 1, 2, 2): 2 * one, (2, 1, 3, 1): one,
@@ -421,6 +429,7 @@ class TestIntegerRowsOnRationalArrays:
         barr = build_b_array(pres)
         phi = [-1, 0, -3, Fraction(-2, 3)]
         vs = [[1, Fraction(-1, 3), Fraction(-1, 2), -1]]
-        got = check_gnf_commutativity(barr, phi, vs)
+        got = check_gnf_commutativity(barr, phi)
+        assert got == _old_check_gnf_commutativity(barr, phi)
         assert got == _old_check_gnf_commutativity(barr, phi, vs)
         assert got[1]["v"] == (0, 0, 1, 0)

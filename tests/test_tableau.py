@@ -440,6 +440,10 @@ def _reference_staircase_generic(bm, s, r):
     return True
 
 
+def _exact_pivots(rows):
+    return linalg_mod._pivot_columns(rows, 0)
+
+
 def _reference_search(tab, seed, trials):
     """The search without early exit: every candidate drawn up front,
     characters and basis matrix from separate eliminations."""
@@ -509,9 +513,8 @@ class TestGenericBasisSearch:
                 s = characters_in_basis(tab, bp).s
                 expected = _reference_staircase_generic(bm, s, tab.r)
                 rows, _ = tableau_mod._reduce(tab, bp)
-                for reduced in (False, True):
-                    ok = _staircase_rows(rows, s, tab.r, reduced) is not None
-                    assert ok == expected
+                ok = _staircase_rows(rows, s, tab.r) is not None
+                assert ok == expected
                 checked.add(expected)
         assert checked == {True, False}
 
@@ -590,19 +593,21 @@ class TestGenericBasisSearch:
         # bound cannot show that another candidate is worse, so a prime
         # that drops them may select another pair (see find_generic_basis).
         monkeypatch.setattr(linalg_mod, "MODULUS", 3)
-        reruns = []
-        search = tableau_mod._search
+        reruns = []   # per call of a pivot routine: is it the exact one?
+        evaluator = tableau_mod._evaluator
 
-        def recording(candidates, evaluate, certified):
-            reruns.append("_exact_" in evaluate.__qualname__)
-            return search(candidates, evaluate, certified)
+        def recording(tab, pivots):
+            def counted(rows):
+                reruns.append(pivots is not linalg_mod.pivot_columns_mod_p)
+                return pivots(rows)
+            return evaluator(tab, counted)
 
-        monkeypatch.setattr(tableau_mod, "_search", recording)
+        monkeypatch.setattr(tableau_mod, "_evaluator", recording)
         seen = set()
         for k, tab in enumerate(staircase_corpus(7, 40, scramble)):
             expected = _reference_search(tab, seed=k, trials=6)
-            modular = tableau_mod._modular_evaluator(tab)
-            exact = tableau_mod._exact_evaluator(tab)
+            modular = evaluator(tab, linalg_mod.pivot_columns_mod_p)
+            exact = evaluator(tab, _exact_pivots)
             no_drop = True
             for bp in tableau_mod._candidates(tab.r, tab.n, k, 6):
                 (c_p, ok_p), (c, ok) = modular(bp), exact(bp)
@@ -618,6 +623,24 @@ class TestGenericBasisSearch:
                 if no_drop:
                     assert (bp, chars.s) == expected
         assert seen == {True, False} and any(reruns)
+
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_exact_evaluator_matches_the_definitions(self, scramble):
+        # on every candidate the search draws: the characters in the
+        # candidate's flag and the level-wise staircase definition
+        seen = set()
+        for k, tab in enumerate(staircase_corpus(7, 40, scramble)):
+            evaluate = tableau_mod._evaluator(tab, _exact_pivots)
+            for pair in tableau_mod._candidates(tab.r, tab.n, k, 6):
+                bp = tableau_mod._basis_pair(pair)
+                s = characters_in_basis(tab, bp).s
+                red, pivots = rref(tab.stacked(bp))
+                bm = red.submatrix(range(len(pivots)), range(tab.r * tab.n))
+                ok = _reference_staircase_generic(bm, s, tab.r)
+                chars, staircase = evaluate(pair)
+                assert (chars, staircase()) == (s, ok)
+                seen.add(ok)
+        assert seen == {True, False}
 
     def test_user_basis_pairs_are_validated(self):
         singular = RatMatrix.from_rows([[1, 2], [2, 4]])
