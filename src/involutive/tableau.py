@@ -15,7 +15,9 @@ coordinate prefix.
 
 from __future__ import annotations
 
+import functools
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -348,19 +350,34 @@ def _staircase_rows(rows: list[list[int]], s: tuple[int, ...],
     return a
 
 
+_DRAW_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=32)
+def _drawn(r: int, n: int, seed: int) -> tuple[random.Random, list]:
+    """The generator of (r, n, seed) and its random pairs drawn so far,
+    in draw order, each a pair of tuples of tuple rows."""
+    return random.Random(seed), []
+
+
 def _candidates(r: int, n: int, seed: int, trials: int):
     """The identity pair, then ``trials`` seeded random pairs, drawn lazily.
 
-    A pair (P, Q) is two lists of integer rows; the random ones are the
-    draws of ``_random_invertible_rows``.
+    A pair (P, Q) is two sequences of integer rows; the random ones are
+    the draws of ``_random_invertible_rows``.  The candidates depend only
+    on (r, n, seed) and are drawn once per process, lazily (``_drawn``).
     """
     yield ([[int(i == j) for j in range(r)] for i in range(r)],
            [[int(i == j) for j in range(n)] for i in range(n)])
-    rng = random.Random(seed)
-    for _ in range(trials):
-        p = _random_invertible_rows(r, rng)
-        q = _random_invertible_rows(n, rng)
-        yield p, q
+    rng, pairs = _drawn(r, n, seed)
+    for k in range(trials):
+        if k == len(pairs):
+            with _DRAW_LOCK:   # one generator's draws, in order
+                if k == len(pairs):
+                    pairs.append(tuple(
+                        tuple(map(tuple, _random_invertible_rows(d, rng)))
+                        for d in (r, n)))
+        yield pairs[k]
 
 
 def _pi_q(span, q) -> list[list[list[int]]]:
@@ -434,7 +451,8 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
     random invertible pairs (integer entries in [-9, 9]).  The returned
     pair is the first achieving the lexicographically maximal character
     sequence; among those, one passing the staircase-genericity rank
-    checks is preferred.  Deterministic per seed.
+    checks is preferred.  Deterministic per seed.  The candidates depend
+    only on (r, n, seed) and are drawn once per process, lazily.
 
     Candidates are screened mod p = ``linalg.MODULUS``: the prefix
     ranks R_1 <= ... <= R_n of a flag mod p are lower bounds on its

@@ -529,6 +529,7 @@ class TestGenericBasisSearch:
                 assert (bp, chars.s) == expected
 
     def test_certified_candidate_stops_the_search(self, monkeypatch):
+        tableau_mod._drawn.cache_clear()
         calls = []
         draw = linalg_mod._random_invertible_rows
 
@@ -541,6 +542,9 @@ class TestGenericBasisSearch:
         dim_a1, _ = prolongation_dimension(tab)
         _, chars = find_generic_basis(tab, dim_a1=dim_a1)
         assert chars.s == (3, 1, 0) and calls == []
+        find_generic_basis(tab)
+        assert len(calls) == 2 * 32
+        # the pairs of (3, 3, seed 0) are drawn once per process
         find_generic_basis(tab)
         assert len(calls) == 2 * 32
 
@@ -641,6 +645,53 @@ class TestGenericBasisSearch:
                 assert (chars, staircase()) == (s, ok)
                 seen.add(ok)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("r, n, seed", [(1, 2, 0), (3, 3, 5), (5, 2, 11),
+                                            (2, 4, 3)])
+    def test_cached_pairs_are_fresh_draws(self, r, n, seed):
+        tableau_mod._drawn.cache_clear()
+        rng = random.Random(seed)
+        fresh = []
+        for _ in range(8):
+            p = linalg_mod._random_invertible_rows(r, rng)
+            q = linalg_mod._random_invertible_rows(n, rng)
+            fresh.append(tuple(tuple(map(tuple, m)) for m in (p, q)))
+        # a shorter search draws a prefix; a longer one extends it
+        for trials in (3, 8, 5):
+            pairs = list(tableau_mod._candidates(r, n, seed, trials))
+            assert pairs[1:] == fresh[:trials]
+
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_warm_cache_finds_the_cold_result(self, scramble, monkeypatch):
+        # mod 3 some searches rerun on exact ranks, so a search reads
+        # the candidates twice; certified searches stop part way through
+        monkeypatch.setattr(linalg_mod, "MODULUS", 3)
+        corpus = [(tab, prolongation_dimension(tab)[0])
+                  for tab in staircase_corpus(7, 40, scramble)]
+        calls = [(tab, k % 3, trials, a1)
+                 for k, (tab, dim_a1) in enumerate(corpus)
+                 for trials in (3, 32, 6) for a1 in (None, dim_a1)]
+        cold = []
+        for tab, seed, trials, a1 in calls:
+            tableau_mod._drawn.cache_clear()
+            cold.append(find_generic_basis(tab, seed, trials, a1))
+        tableau_mod._drawn.cache_clear()
+        warm = [find_generic_basis(tab, seed, trials, a1)
+                for tab, seed, trials, a1 in calls]
+        assert warm == cold
+
+    def test_cached_pairs_are_immutable(self):
+        tableau_mod._drawn.cache_clear()
+        _, pair = tableau_mod._candidates(2, 3, 0, 1)
+        for m in pair:
+            assert isinstance(m, tuple)
+            assert all(isinstance(row, tuple) for row in m)
+        with pytest.raises(TypeError):
+            pair[0][0][0] = 0
+
+    def test_candidate_cache_is_bounded(self):
+        tableau_mod._drawn.cache_clear()
+        assert tableau_mod._drawn.cache_info().maxsize == 32
 
     def test_user_basis_pairs_are_validated(self):
         singular = RatMatrix.from_rows([[1, 2], [2, 4]])
