@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .involutivity import BArray, NotEndovolutive, cartan_test
@@ -194,7 +195,7 @@ def dim_w1_generic(barr: BArray, seed: int = 0, trials: int = 16) -> int:
 
 
 def _apply(m: list[list[int]], z: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(line, z)) for line in m]
+    return [sum(map(mul, line, z)) for line in m]
 
 
 def check_gnf_commutativity(barr: BArray, phi: Sequence[Fraction]

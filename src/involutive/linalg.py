@@ -22,6 +22,11 @@ each spanning matrix, ``_integer_rows`` to a ``RatMatrix`` (for ``rank``,
 ``rref``, ``Tableau.contains`` and basis pairs); ``tableau`` and
 ``involutivity`` rank integer rows with ``_rank`` or ``_pivot_columns``,
 so the analyze path makes no product; ``@`` multiplies ``Fraction`` entries.
+The generic-basis search feeds the elimination one flat integer row per
+spanning matrix, pi Q flattened column-major (``tableau._pi_q``), each
+entry a ``sum(map(mul, ...))`` dot product.  ``_pivot_columns``
+overwrites the rows it is given, so a caller that reads its rows
+afterwards passes a copy.
 
 The same loop, run modulo the prime ``MODULUS``, is
 ``pivot_columns_mod_p``.  A rank mod p is at most the rank over Q, so
@@ -256,8 +261,10 @@ def _pivot_columns(a: list[list[int]], p: int,
     pivots: list[int] = []
     pr = 0
     for pc in range(len(a[0]) if a else 0):
-        found = next((i for i in range(pr, len(a)) if a[i][pc]), -1)
-        if found < 0:
+        for found in range(pr, len(a)):
+            if a[found][pc]:
+                break
+        else:
             continue
         a[pr], a[found] = a[found], a[pr]
         start = 0 if reduced else pc + 1

@@ -20,6 +20,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .linalg import (
@@ -196,7 +197,11 @@ class Tableau:
     """A subspace of W (x) V*: spanning r x n matrix k is ``rows[k] /
     scales[k]``, integer rows over the lcm of its denominators, all set
     by ``_from_rows``.  No reader writes into ``rows``; ``span``
-    rebuilds the ``RatMatrix`` tuple on each read."""
+    rebuilds the ``RatMatrix`` tuple on each read.
+
+    ``==`` and ``hash`` compare the stored spanning set (the same
+    matrices in the same order), not the subspace: two different
+    spanning sets of one subspace are unequal."""
 
     __slots__ = ("r", "n", "scales", "rows")
 
@@ -225,6 +230,16 @@ class Tableau:
         if hasattr(self, "rows"):
             raise AttributeError("Tableau is immutable")
         super().__setattr__(name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tableau):
+            return NotImplemented
+        return ((self.r, self.n, self.rows, self.scales)
+                == (other.r, other.n, other.rows, other.scales))
+
+    def __hash__(self):
+        return hash((self.r, self.n, self.scales,
+                     tuple([tuple(map(tuple, m)) for m in self.rows])))
 
     @property
     def span(self) -> tuple[RatMatrix, ...]:
@@ -289,13 +304,16 @@ def _reduce_rows(r: int, span, w, q) -> tuple[list[list[int]],
     """``_reduce`` of the integer spanning matrices ``span`` in the
     integer pair (``w``, ``q``).
 
-    Each stacked row P pi Q is formed in plain ints.  The integer rows
-    are scalar multiples of the rational ones (each matrix was scaled by
-    the lcm of its denominators), so they have the same RREF, and the
-    elimination is over Z.
+    Each stacked row P pi Q is formed in plain ints, column lam of P pi Q
+    from the slice of flat pi Q that holds column lam of pi Q.  The
+    integer rows are scalar multiples of the rational ones (each matrix
+    was scaled by the lcm of its denominators), so they have the same
+    RREF, and the elimination is over Z.
     """
-    rows = [[sum(x * y for x, y in zip(w_row, col))
-             for col in cols for w_row in w] for cols in _pi_q(span, q)]
+    cuts = range(0, r * len(q), r)
+    rows = [[sum(map(mul, w_row, col))
+             for col in [row[c:c + r] for c in cuts] for w_row in w]
+            for row in _pi_q(span, q)]
     pivots = _pivot_columns(rows, 0, reduced=True)
     return rows[:len(pivots)], _counts(pivots, r, len(q))
 
@@ -380,11 +398,12 @@ def _candidates(r: int, n: int, seed: int, trials: int):
         yield pairs[k]
 
 
-def _pi_q(span, q) -> list[list[list[int]]]:
-    """Columns of pi Q for each integer spanning matrix pi."""
+def _pi_q(span, q) -> list[list[int]]:
+    """pi Q for each integer spanning matrix pi, flattened column-major:
+    entry (a, lam) of pi Q at position lam * r + a."""
     q_cols = list(zip(*q))
-    return [[[sum(x * y for x, y in zip(m_row, q_col)) for m_row in m]
-             for q_col in q_cols] for m in span]
+    return [[sum(map(mul, m_row, q_col)) for q_col in q_cols for m_row in m]
+            for m in span]
 
 
 def _evaluator(tab: Tableau, pivots):
@@ -400,20 +419,26 @@ def _evaluator(tab: Tableau, pivots):
     replace the best one, forms P (pi Q) on the staircase slots.  The
     staircase columns of the stacked matrix have the rank of those of
     its RREF (``_staircase_rows``).
+
+    ``_pi_q`` gives each pi Q as one flat column-major row, which is
+    already a row of the stacked matrix in (I, Q).  ``pivots`` may
+    overwrite its argument (``_pivot_columns`` does), so it is handed a
+    copy and the staircase check reads column lam of pi Q from the flat
+    row as its slice [lam * r, (lam + 1) * r).
     """
     r, n = tab.r, tab.n
 
     def evaluate(pair):
         w, q = pair
-        prods = _pi_q(tab.rows, q)
-        found = pivots([[e for col in cols for e in col] for cols in prods])
+        flat = _pi_q(tab.rows, q)
+        found = pivots([row[:] for row in flat])
         chars = _counts(found, r, n)
 
         def staircase():
             stair = pivots(
-                [[sum(x * y for x, y in zip(w[b], cols[lam]))
+                [[sum(map(mul, w[b], row[lam * r:(lam + 1) * r]))
                   for lam in range(n) for b in range(chars[lam])]
-                 for cols in prods])
+                 for row in flat])
             return len(stair) == len(found)
         return chars, staircase
     return evaluate

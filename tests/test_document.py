@@ -62,6 +62,26 @@ class TestBasisDocuments:
         with pytest.raises(DocumentError, match="strings"):
             document_from_dict(data)
 
+    def test_two_parses_are_equal(self):
+        first, second = (document_from_dict(basis_doc()) for _ in range(2))
+        assert first == second and first.basis is not second.basis
+        assert first.basis == second.basis
+        assert hash(first.basis) == hash(second.basis)
+        assert len({first.basis, second.basis}) == 1
+
+    def test_other_spanning_sets_of_the_subspace_are_unequal(self):
+        # equality is of the stored spanning set, not of the subspace
+        tab = document_from_dict(basis_doc()).basis
+        for basis in ([[["0", "1/2"]], [["1", "0"]]],     # reordered
+                      [[["2", "0"]], [["0", "1/2"]]],     # rescaled
+                      [[["1", "0"]], [["0", "1/2"]], [["1", "1"]]]):
+            data = basis_doc()
+            data["basis"] = basis
+            other = document_from_dict(data).basis
+            assert other.dim == tab.dim == 2
+            assert other != tab
+        assert tab != document_from_dict(coeff_doc()).tableau()
+
 
 class TestCoefficientDocuments:
     def test_parses_presentation(self):

@@ -268,6 +268,43 @@ class TestRandom:
         assert ranks == {(True, True), (True, False), (False, True),
                          (False, False)}
 
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_pivot_columns_edge_cases(self, reduced, modular):
+        from involutive import linalg
+        p = linalg.MODULUS if modular else 0
+        cases = [
+            [],                                    # no rows
+            [[]],                                  # one row, no columns
+            [[0, 0, 0], [0, 0, 0]],                # all zero
+            [[0, 0, 2, 4], [0, 0, 1, 3], [0, 0, 0, 0]],  # zero columns first
+            [[0, 0, 0], [0, 3, -6], [0, 0, 0], [0, 1, 5]],  # zero rows between
+            [[0, 1], [2, 0], [4, 6]],              # pivot row below the first
+            [[2, -4, 6], [1, -2, 3], [3, -6, 9]],  # rank one
+            [[5, 1], [1, 7]],                      # nonsingular
+        ]
+        for rows in cases:
+            cols = len(rows[0]) if rows else 0
+            m = RatMatrix(len(rows), cols, [e for row in rows for e in row])
+            red, exact = _fraction_rref(m)
+            a = [[e % p for e in row] if p else row[:] for row in rows]
+            pivots = linalg._pivot_columns(a, p, reduced=reduced)
+            assert pivots == exact == rref(m)[1]
+            if not reduced:
+                continue
+            # the first len(pivots) rows: the RREF, row by row times its
+            # pivot entry
+            for i, pc in enumerate(pivots):
+                d = a[i][pc]
+                assert d % p if p else d
+                for j in range(cols):
+                    want = red[i, j]
+                    if p:
+                        assert (a[i][j] * want.denominator
+                                - d * want.numerator) % p == 0
+                    else:
+                        assert Fraction(a[i][j], d) == want
+
     def test_elimination_leaves_no_blocks_behind(self):
         # rows of 20 entries: CPython 3.11 never reuses a freed 20-tuple,
         # so a star call on such a row (gcd(*row), lcm(*row)) would keep

@@ -629,6 +629,22 @@ class TestGenericBasisSearch:
         assert seen == {True, False} and any(reruns)
 
     @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_pi_q_rows_are_the_stacked_rows_in_i_q(self, scramble):
+        # row k of _pi_q is spanning matrix k (times its scale) in the
+        # pair (I, Q), flattened column-major like ``stacked``
+        for k, tab in enumerate(staircase_corpus(7, 40, scramble)):
+            identity = [[int(i == j) for j in range(tab.r)]
+                        for i in range(tab.r)]
+            for _, q in tableau_mod._candidates(tab.r, tab.n, k, 3):
+                stacked = tab.stacked(tableau_mod._basis_pair((identity, q)))
+                flat = tableau_mod._pi_q(tab.rows, q)
+                assert len(flat) == stacked.rows == len(tab.rows)
+                for row, k_row, scale in zip(flat, stacked.row_list(),
+                                             tab.scales):
+                    assert row == [e * scale for e in k_row]
+                    assert all(type(e) is int for e in row)
+
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
     def test_exact_evaluator_matches_the_definitions(self, scramble):
         # on every candidate the search draws: the characters in the
         # candidate's flag and the level-wise staircase definition
