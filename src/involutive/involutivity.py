@@ -385,8 +385,6 @@ def quadratic_criterion(barr: BArray,
     ``symbolic_conditions``, compiled once per characters and variant,
     evaluated at the array's free slots, sorted by (lam, mu, i, j, a, b).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if not barr.is_endovolutive():
         raise NotEndovolutive("quadratic criterion needs an endovolutive array")
     slots, conditions = _compiled_conditions(barr.characters.s, variant)

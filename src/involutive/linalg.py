@@ -24,9 +24,10 @@ each spanning matrix, ``_integer_rows`` to a ``RatMatrix`` (for ``rank``,
 so the analyze path makes no product; ``@`` multiplies ``Fraction`` entries.
 The generic-basis search feeds the elimination one flat integer row per
 spanning matrix, pi Q flattened column-major (``tableau._pi_q``), each
-entry a ``sum(map(mul, ...))`` dot product.  ``_pivot_columns``
-overwrites the rows it is given, so a caller that reads its rows
-afterwards passes a copy.
+entry a ``sum(map(mul, ...))`` dot product.  The search's ``pivots``
+leaves its argument unchanged: ``pivot_columns_mod_p`` reduces into new
+lists, and ``_pivot_columns``, which overwrites the rows it is given,
+is handed a copy.
 
 The same loop, run modulo the prime ``MODULUS``, is
 ``pivot_columns_mod_p``.  A rank mod p is at most the rank over Q, so

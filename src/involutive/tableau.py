@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -368,34 +367,23 @@ def _staircase_rows(rows: list[list[int]], s: tuple[int, ...],
     return a
 
 
-_DRAW_LOCK = threading.Lock()
-
-
 @functools.lru_cache(maxsize=32)
-def _drawn(r: int, n: int, seed: int) -> tuple[random.Random, list]:
-    """The generator of (r, n, seed) and its random pairs drawn so far,
-    in draw order, each a pair of tuples of tuple rows."""
-    return random.Random(seed), []
+def _candidates(r: int, n: int, seed: int, trials: int) -> tuple:
+    """The identity pair, then ``trials`` seeded random pairs, drawn once
+    per process for each key.
 
-
-def _candidates(r: int, n: int, seed: int, trials: int):
-    """The identity pair, then ``trials`` seeded random pairs, drawn lazily.
-
-    A pair (P, Q) is two sequences of integer rows; the random ones are
-    the draws of ``_random_invertible_rows``.  The candidates depend only
-    on (r, n, seed) and are drawn once per process, lazily (``_drawn``).
+    A pair (P, Q) is two tuples of tuple rows of ints; the random ones
+    are the draws of ``_random_invertible_rows`` from a fresh
+    ``random.Random(seed)``.  The value is immutable, so two threads
+    that miss at once compute equal tuples and need no lock.
     """
-    yield ([[int(i == j) for j in range(r)] for i in range(r)],
-           [[int(i == j) for j in range(n)] for i in range(n)])
-    rng, pairs = _drawn(r, n, seed)
-    for k in range(trials):
-        if k == len(pairs):
-            with _DRAW_LOCK:   # one generator's draws, in order
-                if k == len(pairs):
-                    pairs.append(tuple(
-                        tuple(map(tuple, _random_invertible_rows(d, rng)))
-                        for d in (r, n)))
-        yield pairs[k]
+    rng = random.Random(seed)
+    identity = [[[int(i == j) for j in range(d)] for i in range(d)]
+                for d in (r, n)]
+    draws = [[_random_invertible_rows(d, rng) for d in (r, n)]
+             for _ in range(trials)]
+    return tuple([tuple([tuple(map(tuple, m)) for m in pair])
+                  for pair in [identity, *draws]])
 
 
 def _pi_q(span, q) -> list[list[int]]:
@@ -421,17 +409,17 @@ def _evaluator(tab: Tableau, pivots):
     its RREF (``_staircase_rows``).
 
     ``_pi_q`` gives each pi Q as one flat column-major row, which is
-    already a row of the stacked matrix in (I, Q).  ``pivots`` may
-    overwrite its argument (``_pivot_columns`` does), so it is handed a
-    copy and the staircase check reads column lam of pi Q from the flat
-    row as its slice [lam * r, (lam + 1) * r).
+    already a row of the stacked matrix in (I, Q).  ``pivots`` leaves its
+    argument unchanged (an exact routine eliminates a copy), so the
+    staircase check reads column lam of pi Q from the same flat row as
+    its slice [lam * r, (lam + 1) * r).
     """
     r, n = tab.r, tab.n
 
     def evaluate(pair):
         w, q = pair
         flat = _pi_q(tab.rows, q)
-        found = pivots([row[:] for row in flat])
+        found = pivots(flat)
         chars = _counts(found, r, n)
 
         def staircase():
@@ -476,8 +464,9 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
     random invertible pairs (integer entries in [-9, 9]).  The returned
     pair is the first achieving the lexicographically maximal character
     sequence; among those, one passing the staircase-genericity rank
-    checks is preferred.  Deterministic per seed.  The candidates depend
-    only on (r, n, seed) and are drawn once per process, lazily.
+    checks is preferred.  Deterministic per seed.  The candidates are
+    drawn once per process for each (r, n, seed, trials); the first
+    search of a key draws all ``trials`` pairs.
 
     Candidates are screened mod p = ``linalg.MODULUS``: the prefix
     ranks R_1 <= ... <= R_n of a flag mod p are lower bounds on its
@@ -531,7 +520,8 @@ def _find_generic_basis(tab: Tableau, seed: int, trials: int,
             dim_a = tab.dim
         return total == dim_a
 
-    pair, chars, ok, done = _search(_candidates(tab.r, tab.n, seed, trials),
+    candidates = _candidates(tab.r, tab.n, seed, trials)
+    pair, chars, ok, done = _search(candidates,
                                     _evaluator(tab, pivot_columns_mod_p),
                                     certified)
     bp = _basis_pair(pair)
@@ -542,8 +532,9 @@ def _find_generic_basis(tab: Tableau, seed: int, trials: int,
         exact_ok = _staircase_rows(rows, exact_chars, tab.r) is not None
         if (exact_chars, exact_ok) != (chars, ok):
             pair, chars, _, _ = _search(
-                _candidates(tab.r, tab.n, seed, trials),
-                _evaluator(tab, lambda rows: _pivot_columns(rows, 0)),
+                candidates,
+                _evaluator(tab, lambda rows: _pivot_columns(
+                    [row[:] for row in rows], 0)),
                 certified)
             bp = _basis_pair(pair)
             reduced = None

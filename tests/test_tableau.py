@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -441,7 +442,7 @@ def _reference_staircase_generic(bm, s, r):
 
 
 def _exact_pivots(rows):
-    return linalg_mod._pivot_columns(rows, 0)
+    return linalg_mod._pivot_columns([row[:] for row in rows], 0)
 
 
 def _reference_search(tab, seed, trials):
@@ -529,7 +530,7 @@ class TestGenericBasisSearch:
                 assert (bp, chars.s) == expected
 
     def test_certified_candidate_stops_the_search(self, monkeypatch):
-        tableau_mod._drawn.cache_clear()
+        tableau_mod._candidates.cache_clear()
         calls = []
         draw = linalg_mod._random_invertible_rows
 
@@ -537,16 +538,32 @@ class TestGenericBasisSearch:
             calls.append(dim)
             return draw(dim, rng, bound)
 
+        evaluated = []
+        evaluator = tableau_mod._evaluator
+
+        def recording(tab, pivots):
+            evaluate = evaluator(tab, pivots)
+
+            def counted(pair):
+                evaluated.append(pair)
+                return evaluate(pair)
+            return counted
+
         monkeypatch.setattr(tableau_mod, "_random_invertible_rows", counting)
+        monkeypatch.setattr(tableau_mod, "_evaluator", recording)
         tab = tableau_from_coefficients(make_310(T2=2, R3=2, Q=1))
         dim_a1, _ = prolongation_dimension(tab)
         _, chars = find_generic_basis(tab, dim_a1=dim_a1)
-        assert chars.s == (3, 1, 0) and calls == []
+        # the pairs of (3, 3, seed 0, 32 trials) are drawn once per
+        # process; the certified identity pair is the only one evaluated
+        assert chars.s == (3, 1, 0) and len(calls) == 2 * 32
+        assert evaluated == [tableau_mod._candidates(3, 3, 0, 32)[0]]
+        evaluated.clear()
         find_generic_basis(tab)
-        assert len(calls) == 2 * 32
-        # the pairs of (3, 3, seed 0) are drawn once per process
-        find_generic_basis(tab)
-        assert len(calls) == 2 * 32
+        assert len(evaluated) == 1 + 32 and len(calls) == 2 * 32
+        evaluated.clear()
+        find_generic_basis(tab, dim_a1=dim_a1)
+        assert len(evaluated) == 1 and len(calls) == 2 * 32
 
     def test_certified_exit_reduces_nothing_exactly(self, monkeypatch):
         tab = tableau_from_coefficients(make_310(T2=2, R3=2, Q=1))
@@ -603,7 +620,10 @@ class TestGenericBasisSearch:
         def recording(tab, pivots):
             def counted(rows):
                 reruns.append(pivots is not linalg_mod.pivot_columns_mod_p)
-                return pivots(rows)
+                before = [row[:] for row in rows]
+                found = pivots(rows)
+                assert rows == before   # the evaluator reads them again
+                return found
             return evaluator(tab, counted)
 
         monkeypatch.setattr(tableau_mod, "_evaluator", recording)
@@ -665,14 +685,14 @@ class TestGenericBasisSearch:
     @pytest.mark.parametrize("r, n, seed", [(1, 2, 0), (3, 3, 5), (5, 2, 11),
                                             (2, 4, 3)])
     def test_cached_pairs_are_fresh_draws(self, r, n, seed):
-        tableau_mod._drawn.cache_clear()
+        tableau_mod._candidates.cache_clear()
         rng = random.Random(seed)
         fresh = []
         for _ in range(8):
             p = linalg_mod._random_invertible_rows(r, rng)
             q = linalg_mod._random_invertible_rows(n, rng)
             fresh.append(tuple(tuple(map(tuple, m)) for m in (p, q)))
-        # a shorter search draws a prefix; a longer one extends it
+        # each trials count is its own key, a prefix of the same draws
         for trials in (3, 8, 5):
             pairs = list(tableau_mod._candidates(r, n, seed, trials))
             assert pairs[1:] == fresh[:trials]
@@ -689,15 +709,15 @@ class TestGenericBasisSearch:
                  for trials in (3, 32, 6) for a1 in (None, dim_a1)]
         cold = []
         for tab, seed, trials, a1 in calls:
-            tableau_mod._drawn.cache_clear()
+            tableau_mod._candidates.cache_clear()
             cold.append(find_generic_basis(tab, seed, trials, a1))
-        tableau_mod._drawn.cache_clear()
+        tableau_mod._candidates.cache_clear()
         warm = [find_generic_basis(tab, seed, trials, a1)
                 for tab, seed, trials, a1 in calls]
         assert warm == cold
 
     def test_cached_pairs_are_immutable(self):
-        tableau_mod._drawn.cache_clear()
+        tableau_mod._candidates.cache_clear()
         _, pair = tableau_mod._candidates(2, 3, 0, 1)
         for m in pair:
             assert isinstance(m, tuple)
@@ -706,8 +726,32 @@ class TestGenericBasisSearch:
             pair[0][0][0] = 0
 
     def test_candidate_cache_is_bounded(self):
-        tableau_mod._drawn.cache_clear()
-        assert tableau_mod._drawn.cache_info().maxsize == 32
+        tableau_mod._candidates.cache_clear()
+        assert tableau_mod._candidates.cache_info().maxsize == 32
+
+    def test_concurrent_misses_get_the_fresh_draws(self):
+        # the memo has no lock: threads that miss the same key at once
+        # each draw from their own generator, so each gets the same
+        # pairs as one sequential run
+        rng = random.Random(5)
+        draw = linalg_mod._random_invertible_rows
+        fresh = tuple(tuple(tuple(map(tuple, draw(3, rng))) for _ in "PQ")
+                      for _ in range(32))
+        identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+        tableau_mod._candidates.cache_clear()
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def fetch(k):
+            barrier.wait()
+            got[k] = tableau_mod._candidates(3, 3, 5, 32)
+
+        threads = [threading.Thread(target=fetch, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == [((identity, identity),) + fresh] * 4
 
     def test_user_basis_pairs_are_validated(self):
         singular = RatMatrix.from_rows([[1, 2], [2, 4]])
