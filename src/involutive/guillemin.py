@@ -67,6 +67,10 @@ class Subspace:
                 and self.dim == other.dim
                 and self.contains_subspace(other))
 
+    def __hash__(self):
+        # equal subspaces may be held by different bases
+        return hash((self.ambient_dim, self.dim))
+
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
         vectors = list(vectors)
@@ -190,7 +194,7 @@ def dim_w1_generic(barr: BArray, seed: int = 0, trials: int = 16) -> int:
             if any(phi):
                 break
         dims.append(barr.r - len(_pivot_columns(
-            _w1_system(barr, d, grid, phi), 0)))
+            _w1_system(barr, d, grid, phi))))
     return max(set(dims), key=lambda k: (dims.count(k), -k))
 
 

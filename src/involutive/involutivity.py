@@ -31,10 +31,10 @@ from .tableau import (
     NonGenericBasis,
     SymbolPresentation,
     Tableau,
-    _find_generic_basis,
     _flat,
     _reduce,
     extract_symbol_coefficients,
+    find_generic_basis,
 )
 
 VARIANTS = ("theorem", "proof")
@@ -408,7 +408,7 @@ def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
     """
     r, n = tab.r, tab.n
     flat = _flat(tab.rows, r, n)
-    elems = flat[:len(_pivot_columns(flat, 0, reduced=True))]
+    elems = flat[:len(_pivot_columns(flat, reduced=True))]
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -419,7 +419,7 @@ def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
                         row.append(e[i * r + a] if k == j
                                    else -e[j * r + a] if k == i else 0)
                 rows.append(row)
-    rk = len(_pivot_columns(rows, 0))
+    rk = len(_pivot_columns(rows))
     return len(elems) * n - rk, len(rows) - rk
 
 
@@ -444,15 +444,7 @@ def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
     random retry only a small chance (none succeeded in 799 measured
     runs).
     """
-    return _search_endovolutive(tab, basis, None)
-
-
-def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
-                         ) -> Optional[tuple[BasisPair, SymbolPresentation]]:
-    """``search_endovolutive_basis``, reusing ``reduced`` when it is the
-    ``_reduce(tab, basis)`` already made (as ``_find_generic_basis``
-    returns it) and reducing otherwise."""
-    rows, counts = reduced if reduced is not None else _reduce(tab, basis)
+    rows, counts = _reduce(tab, basis)
     chars = CartanCharacters(counts)
     if not chars.is_weakly_decreasing():
         return None
@@ -479,7 +471,7 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
     cands = [v for lam in range(ell, 0, -1) for v in flag[lam - 1]]
     cands += [[int(i == a) for i in range(r)] for a in range(r)]
     adapted = [cands[k] for k in _pivot_columns(
-        [[v[j] for v in cands] for j in range(r)], 0)]
+        [[v[j] for v in cands] for j in range(r)])]
     # With U the integer vectors and D their first nonzero entries, the
     # adapted vectors are the rows of D^-1 U, and the new W change is
     # (U^T D^-1)^-1 W = D (U^T)^-1 W: D times the right block of the
@@ -489,7 +481,7 @@ def _search_endovolutive(tab: Tableau, basis: BasisPair, reduced,
     lcm = _denominator_lcm(w.entries())
     aug = [[u[j] * lcm for u in adapted] + _scaled(w.row(j), lcm)
            for j in range(r)]
-    _pivot_columns(aug, 0, reduced=True)
+    _pivot_columns(aug, reduced=True)
     d = [next(x for x in u if x) for u in adapted]
     bp = BasisPair._unchecked(
         RatMatrix(r, r, [Fraction(d[k] * e, row[k])
@@ -547,7 +539,7 @@ def cartan_test(tab: Tableau, seed: int = 0, trials: int = 32,
     at the first candidate it certifies.
     """
     dim_a1, dim_h2 = prolongation_dimension(tab)
-    basis, chars, reduced = _find_generic_basis(tab, seed, trials, dim_a1)
+    basis, chars = find_generic_basis(tab, seed, trials, dim_a1)
     dim_a = chars.dim
     bound = chars.cartan_bound
     violations: list[QuadraticViolation] = []
@@ -557,7 +549,7 @@ def cartan_test(tab: Tableau, seed: int = 0, trials: int = 32,
     if dim_a == 0:
         endovolutive = True
     else:
-        found = _search_endovolutive(tab, basis, reduced)
+        found = search_endovolutive_basis(tab, basis)
         if found is None:
             endovolutive = False
             inconclusive = True

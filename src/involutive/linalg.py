@@ -24,16 +24,9 @@ each spanning matrix, ``_integer_rows`` to a ``RatMatrix`` (for ``rank``,
 so the analyze path makes no product; ``@`` multiplies ``Fraction`` entries.
 The generic-basis search feeds the elimination one flat integer row per
 spanning matrix, pi Q flattened column-major (``tableau._pi_q``), each
-entry a ``sum(map(mul, ...))`` dot product.  The search's ``pivots``
-leaves its argument unchanged: ``pivot_columns_mod_p`` reduces into new
-lists, and ``_pivot_columns``, which overwrites the rows it is given,
-is handed a copy.
-
-The same loop, run modulo the prime ``MODULUS``, is
-``pivot_columns_mod_p``.  A rank mod p is at most the rank over Q, so
-its results are read only as lower bounds: to screen candidates in the
-generic-basis search and to accept a random matrix as invertible.  Every
-reported rank and verdict is exact.
+entry a ``sum(map(mul, ...))`` dot product.  That one loop,
+``_pivot_columns``, is the package's only elimination kernel, and every
+rank in the package, the search's included, is exact.
 """
 
 from __future__ import annotations
@@ -236,22 +229,20 @@ def _integer_rows(m: RatMatrix) -> list[list[int]]:
 def _reduced_entries(a: list[list[int]]) -> tuple[list[Fraction], list[int]]:
     """Entries of the nonzero rows of the RREF of the integer rows ``a``
     (which are overwritten), row by row, and its pivot columns."""
-    pivots = _pivot_columns(a, 0, reduced=True)
+    pivots = _pivot_columns(a, reduced=True)
     zero = Fraction(0)
     return ([Fraction(e, row[pc]) if e else zero
              for row, pc in zip(a, pivots) for e in row], pivots)
 
 
-def _pivot_columns(a: list[list[int]], p: int,
-                   reduced: bool = False) -> list[int]:
+def _pivot_columns(a: list[list[int]], reduced: bool = False) -> list[int]:
     """Pivot columns of the integer rows ``a``, which are overwritten.
 
     Elimination by cross-multiplication: a row becomes
     d * row - f * pivot_row, where d is the pivot and f the row's entry
-    in the pivot column.  With ``p`` nonzero every entry is reduced mod p
-    (``a`` must already be); with ``p == 0`` the new row is divided by
-    the gcd of its entries.  Neither changes the row space over the
-    field the loop works in.
+    in the pivot column, and is then divided by the gcd of its entries,
+    which keeps the entries small.  Neither step changes the row space
+    over Q.
 
     Forward (the default), only the rows below the pivot row change,
     and only in the columns after the pivot, since the others are never
@@ -274,13 +265,9 @@ def _pivot_columns(a: list[list[int]], p: int,
             f = a[i][pc]
             if not f or i == pr:
                 continue
-            if p:
-                a[i][start:] = [(d * e - f * q) % p
-                                for e, q in zip(a[i][start:], piv)]
-            else:
-                row = [d * e - f * q for e, q in zip(a[i][start:], piv)]
-                g = functools.reduce(math.gcd, row, 0)  # see _denominator_lcm
-                a[i][start:] = [e // g for e in row] if g > 1 else row
+            row = [d * e - f * q for e, q in zip(a[i][start:], piv)]
+            g = functools.reduce(math.gcd, row, 0)  # see _denominator_lcm
+            a[i][start:] = [e // g for e in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
         if pr == len(a):
@@ -290,27 +277,12 @@ def _pivot_columns(a: list[list[int]], p: int,
 
 def rank(m: RatMatrix) -> int:
     """Exact rank, by fraction-free elimination over Z (``_integer_rows``)."""
-    return len(_pivot_columns(_integer_rows(m), 0))
+    return len(_pivot_columns(_integer_rows(m)))
 
 
 def _rank(rows: Sequence[list[int]]) -> int:
     """Rank over Q of integer rows, which are left unchanged."""
-    return len(_pivot_columns([row[:] for row in rows], 0))
-
-
-MODULUS = 2 ** 61 - 1
-
-
-def pivot_columns_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns of an integer matrix reduced mod ``MODULUS``.
-
-    Lower bounds only.  The rank mod p of any set of leading columns is
-    at most its rank over Q, and equal to it unless p divides every
-    maximal nonzero minor; so a full count proves full rank over Q, and
-    a smaller one proves nothing.
-    """
-    p = MODULUS
-    return _pivot_columns([[e % p for e in row] for row in rows], p)
+    return len(_pivot_columns([row[:] for row in rows]))
 
 
 def row_basis(m: RatMatrix) -> list[RatMatrix]:
@@ -370,16 +342,12 @@ def invert(m: RatMatrix) -> RatMatrix:
 def _random_invertible_rows(dim: int, rng: random.Random,
                             bound: int = 9) -> list[list[int]]:
     """The first seeded draw of dim x dim integers in [-bound, bound],
-    row by row, that is invertible, as integer rows.
-
-    Full rank mod p proves invertibility; only a draw that is singular
-    mod p is ranked exactly, so the accepted draws are those of an
-    exact rank test.
+    row by row, that is invertible (exact rank ``dim``), as integer rows.
     """
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(dim)]
                 for _ in range(dim)]
-        if len(pivot_columns_mod_p(rows)) == dim or _rank(rows) == dim:
+        if _rank(rows) == dim:
             return rows
 
 

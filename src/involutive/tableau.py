@@ -30,7 +30,6 @@ from .linalg import (
     _random_invertible_rows,
     _rank,
     _scaled,
-    pivot_columns_mod_p,
     rank,
 )
 
@@ -313,7 +312,7 @@ def _reduce_rows(r: int, span, w, q) -> tuple[list[list[int]],
     rows = [[sum(map(mul, w_row, col))
              for col in [row[c:c + r] for c in cuts] for w_row in w]
             for row in _pi_q(span, q)]
-    pivots = _pivot_columns(rows, 0, reduced=True)
+    pivots = _pivot_columns(rows, reduced=True)
     return rows[:len(pivots)], _counts(pivots, r, len(q))
 
 
@@ -362,7 +361,7 @@ def _staircase_rows(rows: list[list[int]], s: tuple[int, ...],
     """
     order = _staircase_order(s, r)
     a = [[row[c] for c in order] for row in rows]
-    if _pivot_columns(a, 0, reduced=True) != list(range(len(rows))):
+    if _pivot_columns(a, reduced=True) != list(range(len(rows))):
         return None
     return a
 
@@ -394,11 +393,9 @@ def _pi_q(span, q) -> list[list[int]]:
             for m in span]
 
 
-def _evaluator(tab: Tableau, pivots):
+def _evaluator(tab: Tableau):
     """Characters of an integer candidate pair and a thunk for its
-    staircase check, from the pivot columns that ``pivots`` finds in
-    integer rows: ``pivot_columns_mod_p`` (lower bounds) or an exact
-    routine.
+    staircase check, from exact pivot columns (``_pivot_columns``).
 
     The spanning set is read as ``tab.rows``.  The characters of (P, Q)
     are those of (I, Q): pi -> P pi is invertible on every column
@@ -409,21 +406,21 @@ def _evaluator(tab: Tableau, pivots):
     its RREF (``_staircase_rows``).
 
     ``_pi_q`` gives each pi Q as one flat column-major row, which is
-    already a row of the stacked matrix in (I, Q).  ``pivots`` leaves its
-    argument unchanged (an exact routine eliminates a copy), so the
-    staircase check reads column lam of pi Q from the same flat row as
-    its slice [lam * r, (lam + 1) * r).
+    already a row of the stacked matrix in (I, Q).  The elimination
+    overwrites a copy of those rows, so the staircase check reads
+    column lam of pi Q from the same flat row as its slice
+    [lam * r, (lam + 1) * r).
     """
     r, n = tab.r, tab.n
 
     def evaluate(pair):
         w, q = pair
         flat = _pi_q(tab.rows, q)
-        found = pivots(flat)
+        found = _pivot_columns([row[:] for row in flat])
         chars = _counts(found, r, n)
 
         def staircase():
-            stair = pivots(
+            stair = _pivot_columns(
                 [[sum(map(mul, w[b], row[lam * r:(lam + 1) * r]))
                   for lam in range(n) for b in range(chars[lam])]
                  for row in flat])
@@ -433,7 +430,7 @@ def _evaluator(tab: Tableau, pivots):
 
 
 def _search(candidates, evaluate, certified):
-    """(pair, characters, staircase flag, certified) of the selection rule.
+    """(pair, characters) of the selection rule.
 
     The first candidate that is staircase-generic and ``certified``
     ends the search; otherwise the first one with the lexicographically
@@ -448,11 +445,11 @@ def _search(candidates, evaluate, certified):
             continue
         ok = staircase()
         if ok and certified(chars):
-            return bp, chars, ok, True
+            return bp, chars
         if best is None or chars > best[0] or (ok and not best[1]):
             best = (chars, ok, bp)
-    chars, ok, bp = best
-    return bp, chars, ok, False
+    chars, _, bp = best
+    return bp, chars
 
 
 def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
@@ -468,77 +465,28 @@ def find_generic_basis(tab: Tableau, seed: int = 0, trials: int = 32,
     drawn once per process for each (r, n, seed, trials); the first
     search of a key draws all ``trials`` pairs.
 
-    Candidates are screened mod p = ``linalg.MODULUS``: the prefix
-    ranks R_1 <= ... <= R_n of a flag mod p are lower bounds on its
-    exact ones, which are bounded by the generic ones.  The characters
-    are s_k = R_k - R_{k-1}, ordered lexicographically as the R_k are.
+    Every rank is exact.  The prefix ranks R_1 <= ... <= R_n of a flag
+    are bounded by the generic ones, and the characters
+    s_k = R_k - R_{k-1} are ordered lexicographically as the R_k are.
     A W change does not move them, so they are ranked on pi Q for a
     candidate (P, Q), and P enters only the staircase check.
 
     Certified early exit: every flag satisfies Cartan's inequality
-    ``dim A^(1) <= s_1 + 2 s_2 + ... + n s_n``.  When ``dim_a1``
-    (``dim A^(1)``, from ``prolongation_dimension``) is given and a
-    candidate's total rank mod p is the exact ``dim A``, its mod-p bound
-    ``sum_{k<n} (R_n - R_k)`` is at least its exact bound, hence at
-    least the generic bound and ``dim A^(1)``.  Equality forces every
-    prefix rank mod p to be the exact, generic one, and a staircase
-    rank mod p of ``dim A`` is then exact too: the candidate has the
-    generic characters, the tableau is involutive, and it is returned
-    without exact elimination.  ``dim A`` is exact when the total rank
-    mod p equals the number of spanning matrices, else from ``tab.dim``.
-
-    Otherwise every candidate is visited, the characters rest on the
-    seeded search, and the winner is reduced exactly.  If its exact
-    characters or staircase flag differ from the mod-p ones, p divides
-    a minor the comparison read (an unlucky prime), and the search is
-    rerun with the same evaluator on exact ranks.  So the returned
-    characters are always exact in the returned flag, and the pair is
-    the exact search's unless p divides a nonzero minor of another
-    candidate, which no lower bound can detect.
+    ``dim A^(1) <= s_1 + 2 s_2 + ... + n s_n``, and its bound
+    ``sum_{k<n} (R_n - R_k)`` is at least the generic one, as R_n is
+    ``dim A`` in every flag.  When ``dim_a1`` (``dim A^(1)``, from
+    ``prolongation_dimension``) is given and equals a staircase-generic
+    candidate's bound, every prefix rank is the generic one: the
+    candidate has the generic characters, the tableau is involutive,
+    and it is returned at once.  Otherwise every candidate is visited,
+    and the characters rest on the seeded search.
     """
-    bp, chars, _ = _find_generic_basis(tab, seed, trials, dim_a1)
-    return bp, chars
-
-
-def _find_generic_basis(tab: Tableau, seed: int, trials: int,
-                        dim_a1: Optional[int]):
-    """``find_generic_basis``'s pair and characters, and the ``_reduce``
-    of the pair that verified them (None when no exact reduction of the
-    returned pair was made)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dim_a = None   # tab.dim, computed at most once
-
-    def certified(chars):
-        nonlocal dim_a
-        if CartanCharacters(chars).cartan_bound != dim_a1:
-            return False
-        total = sum(chars)
-        if total == len(tab.rows):    # rank mod p <= exact rank <= rows
-            return True
-        if dim_a is None:
-            dim_a = tab.dim
-        return total == dim_a
-
-    candidates = _candidates(tab.r, tab.n, seed, trials)
-    pair, chars, ok, done = _search(candidates,
-                                    _evaluator(tab, pivot_columns_mod_p),
-                                    certified)
-    bp = _basis_pair(pair)
-    reduced = None
-    if not done:
-        reduced = _reduce(tab, bp)
-        rows, exact_chars = reduced
-        exact_ok = _staircase_rows(rows, exact_chars, tab.r) is not None
-        if (exact_chars, exact_ok) != (chars, ok):
-            pair, chars, _, _ = _search(
-                candidates,
-                _evaluator(tab, lambda rows: _pivot_columns(
-                    [row[:] for row in rows], 0)),
-                certified)
-            bp = _basis_pair(pair)
-            reduced = None
-    return bp, CartanCharacters(chars), reduced
+    pair, chars = _search(
+        _candidates(tab.r, tab.n, seed, trials), _evaluator(tab),
+        lambda chars: CartanCharacters(chars).cartan_bound == dim_a1)
+    return _basis_pair(pair), CartanCharacters(chars)
 
 
 def _basis_pair(pair) -> BasisPair:

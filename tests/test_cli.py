@@ -24,12 +24,12 @@ from involutive.guillemin import (
     w_minus_of_phi,
 )
 from involutive.involutivity import (
-    _search_endovolutive,
     build_b_array,
     prolongation_dimension,
+    search_endovolutive_basis,
 )
 from involutive.linalg import format_rational
-from involutive.tableau import _find_generic_basis
+from involutive.tableau import find_generic_basis
 from conftest import make_310, staircase_corpus
 
 
@@ -267,20 +267,20 @@ class TestErrorContract:
         assert proc.stderr == ""
 
 
-# The characters and gnf commands as they assembled the pipeline from
-# private stages before they ran the public find_generic_basis and
-# cartan_test: the reference for the rerouted commands.
+# The characters and gnf commands assembled stage by stage from the
+# public prolongation_dimension, find_generic_basis and
+# search_endovolutive_basis, instead of through cartan_test: the
+# reference for the rerouted commands.
 
 def _assembled_basis(tab, args):
     dim_a1, _ = prolongation_dimension(tab)
-    basis, chars, reduced = _find_generic_basis(tab, args.seed, args.trials,
-                                                dim_a1)
-    return basis, chars, dim_a1 == chars.cartan_bound, reduced
+    basis, chars = find_generic_basis(tab, args.seed, args.trials, dim_a1)
+    return basis, chars, dim_a1 == chars.cartan_bound
 
 
 def _assembled_characters(args) -> int:
     tab = load_document(args.input).tableau()
-    basis, chars, certified, _ = _assembled_basis(tab, args)
+    basis, chars, certified = _assembled_basis(tab, args)
     print(f"characters: {' '.join(str(x) for x in chars.s)}")
     print(cli._certified_line(certified))
     print(f"dim A = {chars.dim}")
@@ -292,8 +292,8 @@ def _assembled_characters(args) -> int:
 
 def _assembled_gnf(args) -> int:
     tab = load_document(args.input).tableau()
-    basis, chars, certified, reduced = _assembled_basis(tab, args)
-    found = _search_endovolutive(tab, basis, reduced)
+    basis, chars, certified = _assembled_basis(tab, args)
+    found = search_endovolutive_basis(tab, basis)
     if found is None:
         print("endovolutive search inconclusive; normal form unavailable")
         return 2

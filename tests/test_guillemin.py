@@ -53,6 +53,14 @@ class TestSubspace:
         b = Subspace.from_vectors(2, [e(2, 0) + e(2, 1), e(2, 1)])
         assert a == b
 
+    def test_equal_subspaces_hash_equal(self):
+        # equality is of spans, so the hash may not read the basis
+        a = Subspace.from_vectors(2, [e(2, 0)])
+        b = Subspace(2, (e(2, 0).scale(2),))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert len({a, Subspace.from_vectors(2, [e(2, 1)])}) == 2
+
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValueError):
             Subspace(2, (e(2, 0), e(2, 0)))

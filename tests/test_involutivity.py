@@ -376,8 +376,8 @@ class TestEndovolutiveSearch:
         assert False in outcomes
 
     def test_one_exact_reduction_of_the_chosen_pair(self, monkeypatch):
-        # the generic-basis search hands its verified reduction of the
-        # winner on; the only other reduction is of the adapted basis
+        # the generic-basis search reduces nothing; the endovolutive
+        # search reduces the chosen pair, then only the adapted basis
         calls = []
 
         def counting(tab, basis):
@@ -456,6 +456,28 @@ class TestCertifiedCharacters:
 
 
 class TestCartanTest:
+    def test_runs_the_public_stages(self, monkeypatch):
+        # cartan_test calls the public searches through the names its
+        # module holds, so a wrapper on those names sees every call
+        calls = []
+
+        def counted(name):
+            fn = getattr(involutivity_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("find_generic_basis", "search_endovolutive_basis"):
+            monkeypatch.setattr(involutivity_mod, name, counted(name))
+        rep = cartan_test(tableau_from_coefficients(make_310(T2=2, R3=2, Q=1)))
+        assert rep.endo_basis is not None
+        assert calls == ["find_generic_basis", "search_endovolutive_basis"]
+        calls.clear()
+        cartan_test(Tableau.zero(2, 3))
+        assert calls == ["find_generic_basis"]
+
     def test_full_tableau_involutive(self):
         rep = cartan_test(Tableau.full(2, 3))
         assert rep.involutive and rep.cartan_bound == 12 and rep.dim_A1 == 12

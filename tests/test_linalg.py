@@ -185,14 +185,10 @@ class TestRandom:
         assert a == b
         assert rank(a) == 3
 
-    @pytest.mark.parametrize("modulus", [None, 3])
-    def test_random_invertible_draws_match_exact_rank(self, modulus,
-                                                      monkeypatch):
+    def test_random_invertible_draws_match_exact_rank(self):
         # reference: the draw loop deciding invertibility by an exact
-        # rank; bound 1 draws many singular matrices, and modulus 3
-        # makes the mod-p test reject invertible ones too
+        # rank over Fraction; bound 1 draws many singular matrices
         import random
-        from involutive import linalg
 
         singular = []
 
@@ -203,9 +199,6 @@ class TestRandom:
                     return m, rng.getstate()
                 singular.append(m)
 
-        if modulus is not None:
-            monkeypatch.setattr(linalg, "MODULUS", modulus)
-        rejected = 0
         for bound in (1, 2, 9):
             for dim in range(1, 6):
                 for seed in range(40):
@@ -213,12 +206,9 @@ class TestRandom:
                     m = random_invertible_rng(dim, rng, bound)
                     ref, state = reference(dim, random.Random(seed), bound)
                     assert m == ref and rng.getstate() == state
-                    ints = [[int(e) for e in row] for row in m.row_list()]
-                    rejected += (linalg.pivot_columns_mod_p(ints)
-                                 != list(range(dim)))
-        assert singular and bool(rejected) == (modulus is not None)
+        assert singular
 
-    def test_pivot_columns_mod_p_bound_the_exact_ones(self):
+    def test_pivot_columns_of_prefixes_are_the_exact_ones(self):
         import random
         from involutive import linalg
         rng = random.Random(4)
@@ -227,15 +217,15 @@ class TestRandom:
             m = random_matrix(rows, cols, rng, bound=3)
             ints = [[int(e) for e in row] for row in m.row_list()]
             exact = _fraction_rref(m)[1]
-            assert linalg.pivot_columns_mod_p(ints) == exact
+            assert linalg._pivot_columns([row[:] for row in ints]) == exact
             for k in range(cols + 1):
                 prefix = [row[:k] for row in ints]
-                assert (len(linalg.pivot_columns_mod_p(prefix))
+                assert (len(linalg._pivot_columns(prefix))
                         == len([c for c in exact if c < k]))
 
     def test_integer_rank_matches_rref(self):
-        # rank eliminates over Z after scaling each row to integers;
-        # pivot_columns_mod_p is the same loop mod p, fed those rows
+        # rank eliminates over Z after scaling the matrix to integers;
+        # _pivot_columns, fed rows scaled one by one, finds the same pivots
         import math
         import random
         from involutive import linalg
@@ -262,17 +252,15 @@ class TestRandom:
             for row in m.row_list():
                 scale = math.lcm(*(e.denominator for e in row))
                 ints.append([int(e * scale) for e in row])
-            assert linalg.pivot_columns_mod_p(ints) == exact
+            assert linalg._pivot_columns(ints) == exact
             ranks.add((len(exact) == min(m.rows, m.cols),
                        any(e.denominator > 1 for e in m.entries())))
         assert ranks == {(True, True), (True, False), (False, True),
                          (False, False)}
 
     @pytest.mark.parametrize("reduced", [False, True])
-    @pytest.mark.parametrize("modular", [False, True])
-    def test_pivot_columns_edge_cases(self, reduced, modular):
+    def test_pivot_columns_edge_cases(self, reduced):
         from involutive import linalg
-        p = linalg.MODULUS if modular else 0
         cases = [
             [],                                    # no rows
             [[]],                                  # one row, no columns
@@ -287,8 +275,8 @@ class TestRandom:
             cols = len(rows[0]) if rows else 0
             m = RatMatrix(len(rows), cols, [e for row in rows for e in row])
             red, exact = _fraction_rref(m)
-            a = [[e % p for e in row] if p else row[:] for row in rows]
-            pivots = linalg._pivot_columns(a, p, reduced=reduced)
+            a = [row[:] for row in rows]
+            pivots = linalg._pivot_columns(a, reduced=reduced)
             assert pivots == exact == rref(m)[1]
             if not reduced:
                 continue
@@ -296,14 +284,9 @@ class TestRandom:
             # pivot entry
             for i, pc in enumerate(pivots):
                 d = a[i][pc]
-                assert d % p if p else d
+                assert d
                 for j in range(cols):
-                    want = red[i, j]
-                    if p:
-                        assert (a[i][j] * want.denominator
-                                - d * want.numerator) % p == 0
-                    else:
-                        assert Fraction(a[i][j], d) == want
+                    assert Fraction(a[i][j], d) == red[i, j]
 
     def test_elimination_leaves_no_blocks_behind(self):
         # rows of 20 entries: CPython 3.11 never reuses a freed 20-tuple,
@@ -319,7 +302,7 @@ class TestRandom:
         gc.collect()  # also empties the free lists
         before = sys.getallocatedblocks()
         for _ in range(50):
-            linalg._pivot_columns([row[:] for row in rows], 0, reduced=True)
+            linalg._pivot_columns([row[:] for row in rows], reduced=True)
             linalg._denominator_lcm(values)
         assert sys.getallocatedblocks() - before < 100
 

@@ -441,10 +441,6 @@ def _reference_staircase_generic(bm, s, r):
     return True
 
 
-def _exact_pivots(rows):
-    return linalg_mod._pivot_columns([row[:] for row in rows], 0)
-
-
 def _reference_search(tab, seed, trials):
     """The search without early exit: every candidate drawn up front,
     characters and basis matrix from separate eliminations."""
@@ -489,7 +485,7 @@ class TestGenericBasisSearch:
 
     @pytest.mark.parametrize("scramble", [None, "rows", "random"])
     def test_w_change_keeps_the_characters(self, scramble):
-        # the modular screen ranks pi Q only: P acts inside each column
+        # the search ranks pi Q only: P acts inside each column
         rng = random.Random(9)
         for tab in staircase_corpus(9, 30, scramble):
             p = random_invertible_rng(tab.r, rng, bound=2)
@@ -541,8 +537,8 @@ class TestGenericBasisSearch:
         evaluated = []
         evaluator = tableau_mod._evaluator
 
-        def recording(tab, pivots):
-            evaluate = evaluator(tab, pivots)
+        def recording(tab):
+            evaluate = evaluator(tab)
 
             def counted(pair):
                 evaluated.append(pair)
@@ -573,7 +569,7 @@ class TestGenericBasisSearch:
             # so a later candidate is certified
             Tableau(3, 3, [RatMatrix.from_rows(m.row_list()[::-1])
                            for m in tab.span]),
-            # a redundant spanning set: dim A comes from tab.dim
+            # a redundant spanning set: more matrices than dim A
             Tableau(3, 3, tab.span + (tab.span[0].scale(Fraction(-1, 2)),)),
         ]
         expected = [(prolongation_dimension(t)[0],
@@ -588,65 +584,6 @@ class TestGenericBasisSearch:
             bp, chars = find_generic_basis(t, dim_a1=dim_a1)
             assert chars.cartan_bound == dim_a1
             assert (bp, chars.s) == ref
-
-    def test_total_rank_drop_cannot_certify(self, monkeypatch):
-        # column 2 = B column 1 with B = [[1/3, 1/3], [0, 0]]: characters
-        # (2, 0), involutive.  Integerised, both spanning matrices are
-        # [[0, 1], [0, 0]] mod 3, so every flag has rank 1 mod 3; in the
-        # identity flag the mod-3 characters (0, 1) have the bound
-        # 2 = dim A^(1), but their total rank 1 is not dim A.
-        tab = Tableau(2, 2, [RatMatrix.from_rows([[1, Fraction(1, 3)], [0, 0]]),
-                             RatMatrix.from_rows([[0, Fraction(1, 3)], [1, 0]])])
-        dim_a1, _ = prolongation_dimension(tab)
-        assert dim_a1 == 2
-        monkeypatch.setattr(linalg_mod, "MODULUS", 3)
-        for a1 in (None, dim_a1):
-            bp, chars = find_generic_basis(tab, dim_a1=a1)
-            assert (bp, chars.s) == (BasisPair.identity(2, 2), (2, 0))
-
-    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
-    def test_results_stay_exact_under_a_tiny_modulus(self, scramble,
-                                                     monkeypatch):
-        # Mod 3, ranks of the candidates really drop.  The returned
-        # characters are still those of the returned flag, certified
-        # ones are the generic characters, and where no candidate's
-        # values drop the pair is the exact search's.  A mod-p lower
-        # bound cannot show that another candidate is worse, so a prime
-        # that drops them may select another pair (see find_generic_basis).
-        monkeypatch.setattr(linalg_mod, "MODULUS", 3)
-        reruns = []   # per call of a pivot routine: is it the exact one?
-        evaluator = tableau_mod._evaluator
-
-        def recording(tab, pivots):
-            def counted(rows):
-                reruns.append(pivots is not linalg_mod.pivot_columns_mod_p)
-                before = [row[:] for row in rows]
-                found = pivots(rows)
-                assert rows == before   # the evaluator reads them again
-                return found
-            return evaluator(tab, counted)
-
-        monkeypatch.setattr(tableau_mod, "_evaluator", recording)
-        seen = set()
-        for k, tab in enumerate(staircase_corpus(7, 40, scramble)):
-            expected = _reference_search(tab, seed=k, trials=6)
-            modular = evaluator(tab, linalg_mod.pivot_columns_mod_p)
-            exact = evaluator(tab, _exact_pivots)
-            no_drop = True
-            for bp in tableau_mod._candidates(tab.r, tab.n, k, 6):
-                (c_p, ok_p), (c, ok) = modular(bp), exact(bp)
-                no_drop = no_drop and (c_p, ok_p()) == (c, ok())
-            seen.add(no_drop)
-            dim_a1, _ = prolongation_dimension(tab)
-            for a1 in (None, dim_a1):
-                bp, chars = find_generic_basis(tab, seed=k, trials=6,
-                                               dim_a1=a1)
-                assert characters_in_basis(tab, bp) == chars
-                if chars.cartan_bound == a1:
-                    assert chars.s == expected[1]
-                if no_drop:
-                    assert (bp, chars.s) == expected
-        assert seen == {True, False} and any(reruns)
 
     @pytest.mark.parametrize("scramble", [None, "rows", "random"])
     def test_pi_q_rows_are_the_stacked_rows_in_i_q(self, scramble):
@@ -670,7 +607,7 @@ class TestGenericBasisSearch:
         # candidate's flag and the level-wise staircase definition
         seen = set()
         for k, tab in enumerate(staircase_corpus(7, 40, scramble)):
-            evaluate = tableau_mod._evaluator(tab, _exact_pivots)
+            evaluate = tableau_mod._evaluator(tab)
             for pair in tableau_mod._candidates(tab.r, tab.n, k, 6):
                 bp = tableau_mod._basis_pair(pair)
                 s = characters_in_basis(tab, bp).s
@@ -698,10 +635,8 @@ class TestGenericBasisSearch:
             assert pairs[1:] == fresh[:trials]
 
     @pytest.mark.parametrize("scramble", [None, "rows", "random"])
-    def test_warm_cache_finds_the_cold_result(self, scramble, monkeypatch):
-        # mod 3 some searches rerun on exact ranks, so a search reads
-        # the candidates twice; certified searches stop part way through
-        monkeypatch.setattr(linalg_mod, "MODULUS", 3)
+    def test_warm_cache_finds_the_cold_result(self, scramble):
+        # certified searches stop part way through the candidates
         corpus = [(tab, prolongation_dimension(tab)[0])
                   for tab in staircase_corpus(7, 40, scramble)]
         calls = [(tab, k % 3, trials, a1)
