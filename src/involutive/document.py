@@ -3,7 +3,10 @@
 A document carries either a spanning set ("basis" presentation) or a
 staircase coefficient list ("coefficients" presentation, which also
 needs the characters).  Rationals are strings "p" or "p/q", never
-floats, so parse -> print round-trips exactly.
+floats, so parse -> print round-trips exactly.  A spanning-set entry
+that is an integer string is read as an ``int`` and any other as a
+``Fraction``; ``Tableau`` scales both to the same integer rows, so the
+tableau does not depend on how an entry is written.
 """
 
 from __future__ import annotations
@@ -48,6 +51,20 @@ def _parse_value(raw, field: str) -> Fraction:
         raise DocumentError(f"{field}: {exc}") from None
 
 
+def _basis_entry(raw, mi: int, ri: int, ci: int):
+    """A spanning-set entry: an ``int`` for an integer string (optional
+    sign, then digits), a ``Fraction`` for any other rational string.
+    The field name is formatted only for a refused entry, which
+    ``_parse_value`` reports as it reports every other value."""
+    if type(raw) is str:
+        digits = raw[1:] if raw[:1] in ("+", "-") else raw
+        try:
+            return int(raw) if digits.isdigit() else parse_rational(raw)
+        except ValueError:
+            pass  # also a digit that int() refuses, such as '²'
+    return _parse_value(raw, f"basis[{mi}][{ri}][{ci}]")
+
+
 def document_from_dict(data: dict) -> TableauDocument:
     _require(isinstance(data, dict), "document", "must be a JSON object")
     for key in ("r", "n", "presentation"):
@@ -68,9 +85,10 @@ def document_from_dict(data: dict) -> TableauDocument:
                      f"must have {r} rows")
             rows = []
             for ri, row in enumerate(mat):
-                _require(isinstance(row, list) and len(row) == n,
-                         f"{field}[{ri}]", f"must have {n} entries")
-                rows.append([_parse_value(e, f"{field}[{ri}][{ci}]")
+                if not (isinstance(row, list) and len(row) == n):
+                    raise DocumentError(
+                        f"{field}[{ri}]: must have {n} entries")
+                rows.append([_basis_entry(e, mi, ri, ci)
                              for ci, e in enumerate(row)])
             span.append(rows)
         return TableauDocument(r, n, "basis", Tableau._from_rows(r, n, span))

@@ -19,6 +19,7 @@ exact; ``cartan_test`` runs both and reports everything.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,12 +29,10 @@ from .linalg import (RatMatrix, _denominator_lcm, _pivot_columns, _rank,
 from .tableau import (
     BasisPair,
     CartanCharacters,
-    NonGenericBasis,
     SymbolPresentation,
     Tableau,
-    _flat,
+    _presentation,
     _reduce,
-    extract_symbol_coefficients,
     find_generic_basis,
 )
 
@@ -401,14 +400,13 @@ def prolongation_dimension(tab: Tableau) -> tuple[int, int]:
     Both are read off the rank of the prolonged symbol
     A (x) V* -> W (x) Wedge2 V*: one column per (basis element of A) x
     u^k, one row per w_a (x) u^i ^ u^j with i < j.  The basis of A is
-    the integer Gauss-Jordan rows of the stacked spanning set, and the
-    matrix is built and ranked over Z.  Forward-eliminated rows would
-    not do: they keep stale entries left of each pivot, so they need
-    not lie in A.
+    the integer Gauss-Jordan rows of the stacked spanning set, which the
+    tableau keeps (``Tableau._echelon``), and the matrix is built and
+    ranked over Z.  Forward-eliminated rows would not do: they keep
+    stale entries left of each pivot, so they need not lie in A.
     """
     r, n = tab.r, tab.n
-    flat = _flat(tab.rows, r, n)
-    elems = flat[:len(_pivot_columns(flat, reduced=True))]
+    elems = tab._echelon()[0]
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -434,6 +432,12 @@ def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
     vanishing on columns < lam are spanned by its rows pivoting in
     column lam or later, and the rows pivoting in column lam project to
     an echelon basis of the lam-th space, of dimension s_lam.
+
+    A is reduced once, in ``basis`` (``_reduce``).  The elimination
+    that gives the adapted W change also carries the r-blocks of those
+    rows, so it gives their coordinates in the new pair too, and the
+    staircase coefficients are read off them (``_presentation``, as in
+    ``extract_symbol_coefficients``) with no second reduction.
 
     Returns None when inconclusive; that is not a proof of
     non-existence.  Retrying in another V* flag would not help: given
@@ -474,22 +478,37 @@ def search_endovolutive_basis(tab: Tableau, basis: BasisPair,
         [[v[j] for v in cands] for j in range(r)])]
     # With U the integer vectors and D their first nonzero entries, the
     # adapted vectors are the rows of D^-1 U, and the new W change is
-    # (U^T D^-1)^-1 W = D (U^T)^-1 W: D times the right block of the
-    # RREF of [U^T | W], eliminated over Z (scaled by the lcm of the
-    # denominators of W).  It is invertible: no rank check needed.
+    # X W with X = (U^T D^-1)^-1 = D (U^T)^-1: D times the middle block
+    # of the RREF of [U^T | W | C], eliminated over Z (scaled by the
+    # lcm of the denominators of W).  It is invertible: no rank check
+    # needed.  C holds the r-blocks of the held rows as its columns
+    # (column h * n + lam is block lam of row h), and X maps each
+    # block to its coordinates in the new pair.
     w = basis.w_change
     lcm = _denominator_lcm(w.entries())
+    n = tab.n
     aug = [[u[j] * lcm for u in adapted] + _scaled(w.row(j), lcm)
+           + [row[c + j] * lcm for row in rows for c in range(0, n * r, r)]
            for j in range(r)]
     _pivot_columns(aug, reduced=True)
     d = [next(x for x in u if x) for u in adapted]
     bp = BasisPair._unchecked(
         RatMatrix(r, r, [Fraction(d[k] * e, row[k])
-                         for k, row in enumerate(aug) for e in row[r:]]),
+                         for k, row in enumerate(aug)
+                         for e in row[r:2 * r]]),
         basis.v_change)
-    try:
-        pres = extract_symbol_coefficients(tab, bp)
-    except NonGenericBasis:
+    # Row k of aug is its pivot aug[k][k] times row k of
+    # [I | (U^T)^-1 W | (U^T)^-1 C]: coordinate k of every block is
+    # d[k] / aug[k][k] times aug[k]'s entry, and the held rows, all
+    # times the lcm of the pivots, are integer rows of A in bp.
+    pivots = functools.reduce(math.lcm,
+                              [row[k] for k, row in enumerate(aug)], 1)
+    scale = [d[k] * (pivots // row[k]) for k, row in enumerate(aug)]
+    new_rows = [[scale[k] * aug[k][2 * r + h * n + lam]
+                 for lam in range(n) for k in range(r)]
+                for h in range(len(rows))]
+    pres = _presentation(new_rows, chars, r)
+    if pres is None:
         return None
     ok, _ = is_endovolutive(pres)
     return (bp, pres) if ok else None

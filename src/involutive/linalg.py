@@ -3,7 +3,8 @@
 Everything downstream (characters, prolongations, the quadratic
 criterion) reduces to rank / kernel / solve questions, and those are
 only well-posed in exact arithmetic.  Matrices are immutable, row-major
-and hold ``fractions.Fraction`` entries.
+and hold ``fractions.Fraction`` entries; ``RatMatrix`` converts only the
+entries that are not already ``Fraction``s.
 
 Matrices here are desk-scale (a few hundred entries), so plain Gaussian
 elimination with exact pivoting is adequate.
@@ -62,7 +63,10 @@ class RatMatrix:
         # reallocation, which takes nothing from the interpreter's tuple
         # free lists but gives the tuple back to them when it is freed,
         # so they fill (to 2000 tuples per size) until a full collection.
-        data = tuple([Fraction(e) for e in entries])
+        # A Fraction is kept as it is: Fraction() of a Fraction takes the
+        # slow path of the abc isinstance checks.
+        data = tuple([e if type(e) is Fraction else Fraction(e)
+                      for e in entries])
         if len(data) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(data)}")

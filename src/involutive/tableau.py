@@ -160,6 +160,17 @@ class SymbolPresentation:
             clean[(a, lam, i, b)] = val
         object.__setattr__(self, "coefficients", clean)
 
+    @classmethod
+    def _unchecked(cls, r: int, characters: CartanCharacters,
+                   coefficients: dict) -> "SymbolPresentation":
+        """Presentation whose nonzero ``Fraction`` coefficients already
+        have the staircase support."""
+        pres = object.__new__(cls)
+        object.__setattr__(pres, "r", r)
+        object.__setattr__(pres, "characters", characters)
+        object.__setattr__(pres, "coefficients", coefficients)
+        return pres
+
     @property
     def n(self) -> int:
         return self.characters.n
@@ -197,11 +208,16 @@ class Tableau:
     by ``_from_rows``.  No reader writes into ``rows``; ``span``
     rebuilds the ``RatMatrix`` tuple on each read.
 
+    The integer RREF of the stacked spanning set in the identity pair
+    (``_echelon``) is computed on first use and kept: the prolongation
+    oracle and ``_reduce`` at the identity pair both read it.
+
     ``==`` and ``hash`` compare the stored spanning set (the same
     matrices in the same order), not the subspace: two different
-    spanning sets of one subspace are unequal."""
+    spanning sets of one subspace are unequal.  Neither reads the
+    kept RREF."""
 
-    __slots__ = ("r", "n", "scales", "rows")
+    __slots__ = ("r", "n", "scales", "rows", "_rref")
 
     def __new__(cls, r: int, n: int, span):
         mats = []
@@ -217,12 +233,26 @@ class Tableau:
         """Tableau spanned by ``mats``, r x n nested rows of ints or
         ``Fraction``s, each scaled by the lcm of its denominators."""
         tab = object.__new__(cls)
-        tab.r, tab.n = r, n
+        tab.r, tab.n, tab._rref = r, n, None
         tab.scales = tuple([_denominator_lcm([e for row in m for e in row])
                             for m in mats])
         tab.rows = tuple([[_scaled(row, d) for row in m]
                           for m, d in zip(mats, tab.scales)])
         return tab
+
+    def _echelon(self) -> tuple:
+        """(rows, characters) of ``_reduce`` at the identity pair,
+        computed on first use: the flat spanning set eliminated as
+        ``_reduce_rows`` eliminates it.  No reader writes into the rows.
+        They stay lists: held as tuples, they raised the peak RSS of 40
+        rounds of the benchmark's moduli operations by about 0.25 MB
+        on CPython 3.11."""
+        if self._rref is None:
+            flat = _flat(self.rows, self.r, self.n)
+            pivots = _pivot_columns(flat, reduced=True)
+            object.__setattr__(self, "_rref", (
+                flat[:len(pivots)], _counts(pivots, self.r, self.n)))
+        return self._rref
 
     def __setattr__(self, name, value):
         if hasattr(self, "rows"):
@@ -289,12 +319,22 @@ def _reduce(tab: Tableau, basis: BasisPair) -> tuple[list[list[int]],
     Row k is the k-th nonzero row of the reduced row echelon form of the
     stacked spanning set, multiplied by its pivot entry (its first
     nonzero entry); s_k = rk(<=k) - rk(<k) counts the rows pivoting in
-    column k.  It is computed over Z (``_reduce_rows``).
+    column k.  It is computed over Z (``_reduce_rows``); when the pair's
+    integer rows are the identity, it is a copy of the tableau's kept
+    RREF (``Tableau._echelon``), the same elimination of the same rows.
     """
     if basis.w_change.rows != tab.r or basis.v_change.rows != tab.n:
         raise InvalidBasis("basis pair has wrong dimensions")
-    return _reduce_rows(tab.r, tab.rows, _integer_rows(basis.w_change),
-                        _integer_rows(basis.v_change))
+    w, q = _integer_rows(basis.w_change), _integer_rows(basis.v_change)
+    if _is_identity(w) and _is_identity(q):
+        rows, counts = tab._echelon()
+        return [row[:] for row in rows], counts
+    return _reduce_rows(tab.r, tab.rows, w, q)
+
+
+def _is_identity(rows: list[list[int]]) -> bool:
+    return all(e == (i == j) for i, row in enumerate(rows)
+               for j, e in enumerate(row))
 
 
 def _reduce_rows(r: int, span, w, q) -> tuple[list[list[int]],
@@ -340,7 +380,8 @@ def _staircase_order(s: tuple[int, ...], r: int) -> list[int]:
 
 def _staircase_rows(rows: list[list[int]], s: tuple[int, ...],
                     r: int) -> Optional[list[list[int]]]:
-    """``rows``, as ``_reduce`` returns them, with their columns in
+    """``rows``, integer rows of a basis of A in a pair with characters
+    ``s`` (as ``_reduce`` returns them, say), with their columns in
     ``_staircase_order`` and eliminated over Z (Gauss-Jordan), or None
     when the staircase projection is not level-wise bijective.
 
@@ -349,15 +390,16 @@ def _staircase_rows(rows: list[list[int]], s: tuple[int, ...],
     packed to the top); this is what makes the symbol coefficients
     well-defined with the Fig-style triangular support.
 
-    ``rows`` span the RREF with s_k rows pivoting in column k, so the
-    projection onto the first k columns has rank s_1 + ... + s_k, and
-    the staircase columns form a square block upper-triangular matrix
-    whose k-th diagonal block pairs the rows pivoting in column k with
-    the staircase slots of column k.  Every level is bijective exactly
-    when every diagonal block is invertible, that is, when the whole
-    matrix is: when the permuted rows pivot in the first ``dim A``
-    columns.  Row g is then the element whose staircase slots are the
-    g-th unit vector, times its pivot entry.
+    The RREF of A has s_k rows pivoting in column k, so the projection
+    onto the first k columns has rank s_1 + ... + s_k, and the
+    staircase columns of the RREF form a square block upper-triangular
+    matrix whose k-th diagonal block pairs the rows pivoting in column k
+    with the staircase slots of column k.  Every level is bijective
+    exactly when every diagonal block is invertible, that is, when the
+    whole matrix is: when the permuted rows, which span the same space
+    as the RREF, pivot in the first ``dim A`` columns.  Row g is then
+    the element whose staircase slots are the g-th unit vector, times
+    its pivot entry.
     """
     order = _staircase_order(s, r)
     a = [[row[c] for c in order] for row in rows]
@@ -502,7 +544,25 @@ def extract_symbol_coefficients(tab: Tableau,
     Raises NonGenericBasis when the staircase slots fail to determine
     the remaining entries: the characters are not weakly decreasing, or
     the staircase projection is not bijective (generators not packed to
-    the top).
+    the top).  A is reduced in the pair once (``_reduce``) and the
+    coefficients are read off its rows (``_presentation``), which
+    ``search_endovolutive_basis`` also does without a second reduction.
+    """
+    rows, s = _reduce(tab, basis)
+    chars = CartanCharacters(s)
+    if not chars.is_weakly_decreasing():
+        raise NonGenericBasis(f"characters {chars.s} not weakly decreasing")
+    pres = _presentation(rows, chars, tab.r)
+    if pres is None:
+        raise NonGenericBasis("staircase projection is not bijective")
+    return pres
+
+
+def _presentation(rows: list[list[int]], chars: CartanCharacters,
+                  r: int) -> Optional[SymbolPresentation]:
+    """The staircase presentation of the span of ``rows``, integer rows
+    of a basis of A in some pair with weakly decreasing characters
+    ``chars``, or None when the staircase projection is not bijective.
 
     The element with unit staircase slot g is row g of the RREF of A
     with the staircase columns ordered first (``_staircase_rows``),
@@ -510,25 +570,24 @@ def extract_symbol_coefficients(tab: Tableau,
     is divided by its pivot.  Its slot lies in column lam, and it is a
     combination of the rows of A's RREF pivoting in column lam or later
     (the staircase block is block upper-triangular, so is its inverse),
-    so it vanishes on the columns left of lam.
+    so it vanishes on the columns left of lam.  The coefficients have
+    the staircase support by construction, so the presentation is not
+    validated again.
     """
-    rows, s = _reduce(tab, basis)
-    chars = CartanCharacters(s)
-    if not chars.is_weakly_decreasing():
-        raise NonGenericBasis(f"characters {chars.s} not weakly decreasing")
-    adapted = _staircase_rows(rows, s, tab.r)
+    s = chars.s
+    adapted = _staircase_rows(rows, s, r)
     if adapted is None:
-        raise NonGenericBasis("staircase projection is not bijective")
-    others = _staircase_order(s, tab.r)[len(rows):]
+        return None
+    others = _staircase_order(s, r)[len(rows):]
     coeffs = {}
     for g, (lam, b) in enumerate(_slots(s)):
         row = adapted[g]
         for c, val in zip(others, row[len(rows):]):
             if val == 0:
                 continue
-            i, a = divmod(c, tab.r)
+            i, a = divmod(c, r)
             coeffs[(a + 1, lam, i + 1, b)] = Fraction(val, row[g])
-    return SymbolPresentation(tab.r, chars, coeffs)
+    return SymbolPresentation._unchecked(r, chars, coeffs)
 
 
 def tableau_from_coefficients(p: SymbolPresentation) -> Tableau:

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand via main(argv)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 import involutive
-from involutive import Tableau, cli
+from involutive import (BasisPair, CartanCharacters, RatMatrix, Tableau,
+                        characters_in_basis, cli)
 from involutive.cli import build_parser, main
 from involutive.document import (
     load_document,
@@ -28,7 +30,7 @@ from involutive.involutivity import (
     prolongation_dimension,
     search_endovolutive_basis,
 )
-from involutive.linalg import format_rational
+from involutive.linalg import format_rational, parse_rational
 from involutive.tableau import find_generic_basis
 from conftest import make_310, staircase_corpus
 
@@ -267,32 +269,37 @@ class TestErrorContract:
         assert proc.stderr == ""
 
 
-# The characters and gnf commands assembled stage by stage from the
-# public prolongation_dimension, find_generic_basis and
-# search_endovolutive_basis, instead of through cartan_test: the
-# reference for the rerouted commands.
-
-def _assembled_basis(tab, args):
+def _check_characters_output(tab, out: str):
+    """The ``characters`` output read back: the printed characters are
+    those of the printed basis, and the certified line is the one that
+    the prolongation oracle gives them."""
+    lines = out.splitlines()
+    assert len(lines) == 7 and lines[4] == "generic basis used:"
+    chars = CartanCharacters(tuple(int(x) for x in lines[0].split()[1:]))
+    assert lines[0] == f"characters: {' '.join(map(str, chars.s))}"
+    mats = []
+    for line, label in zip(lines[5:], ("W change", "V* change")):
+        assert line.startswith(f"  {label}: ")
+        entries = ast.literal_eval(line[len(label) + 4:])
+        mats.append(RatMatrix.from_rows(
+            [[parse_rational(e) for e in row] for row in entries]))
+    assert characters_in_basis(tab, BasisPair(*mats)) == chars
     dim_a1, _ = prolongation_dimension(tab)
-    basis, chars = find_generic_basis(tab, args.seed, args.trials, dim_a1)
-    return basis, chars, dim_a1 == chars.cartan_bound
+    assert lines[1] == cli._certified_line(dim_a1 == chars.cartan_bound)
+    assert lines[2:4] == [f"dim A = {tab.dim}",
+                          f"dim H^1 = {tab.r * tab.n - tab.dim}"]
 
 
-def _assembled_characters(args) -> int:
-    tab = load_document(args.input).tableau()
-    basis, chars, certified = _assembled_basis(tab, args)
-    print(f"characters: {' '.join(str(x) for x in chars.s)}")
-    print(cli._certified_line(certified))
-    print(f"dim A = {chars.dim}")
-    print(f"dim H^1 = {tab.r * tab.n - chars.dim}")
-    print("generic basis used:")
-    cli._print_basis(basis)
-    return 0
-
+# The gnf command assembled stage by stage from the public
+# prolongation_dimension, find_generic_basis and
+# search_endovolutive_basis, instead of through cartan_test: the
+# reference for the rerouted command.
 
 def _assembled_gnf(args) -> int:
     tab = load_document(args.input).tableau()
-    basis, chars, certified = _assembled_basis(tab, args)
+    dim_a1, _ = prolongation_dimension(tab)
+    basis, chars = find_generic_basis(tab, args.seed, args.trials, dim_a1)
+    certified = dim_a1 == chars.cartan_bound
     found = search_endovolutive_basis(tab, basis)
     if found is None:
         print("endovolutive search inconclusive; normal form unavailable")
@@ -323,9 +330,6 @@ def _assembled_gnf(args) -> int:
     return 0
 
 
-_ASSEMBLED = {"characters": _assembled_characters, "gnf": _assembled_gnf}
-
-
 def _run(func, argv, capsys):
     try:
         code = func(argv)
@@ -345,12 +349,15 @@ class TestReroutedCommands:
             path.write_text(json.dumps(
                 {"r": tab.r, "n": tab.n, "presentation": "basis",
                  "basis": [matrix_to_lists(m) for m in tab.span]}))
+            common = ["--input", str(path), "--seed", str(k)]
+            code, out, err = _run(main, ["characters"] + common, capsys)
+            assert (code, err) == (0, "")
+            _check_characters_output(tab, out)
             phis = ["0", "1", ",".join(str(j + 1) for j in range(tab.n))]
-            for argv in ([["characters"]]
-                         + [["gnf", "--phi", phi] for phi in phis]):
-                argv = argv + ["--input", str(path), "--seed", str(k)]
+            for phi in phis:
+                argv = ["gnf", "--phi", phi] + common
                 new = _run(main, argv, capsys)
-                old = _run(lambda a: _ASSEMBLED[a[0]](
+                old = _run(lambda a: _assembled_gnf(
                     build_parser().parse_args(a)), argv, capsys)
                 assert new == old, argv
                 seen.add(new[0])

@@ -12,7 +12,8 @@ from involutive.document import (
     presentation_to_dict,
     save_presentation,
 )
-from involutive.linalg import RatMatrix
+from involutive.linalg import RatMatrix, parse_rational
+from involutive.tableau import Tableau
 from conftest import make_310
 
 
@@ -81,6 +82,58 @@ class TestBasisDocuments:
             assert other.dim == tab.dim == 2
             assert other != tab
         assert tab != document_from_dict(coeff_doc()).tableau()
+
+
+def entry_doc(entry):
+    """A 2 x 2 basis document whose last entry is ``entry``."""
+    return {"r": 2, "n": 2, "presentation": "basis",
+            "basis": [[["1", "0"], ["0", "1"]], [["2", "-1"], ["0", entry]]]}
+
+
+class TestBasisEntries:
+    # integer strings are read as ints and other rationals as Fractions;
+    # either way the tableau is the one of the parse_rational route
+    @pytest.mark.parametrize("entry", [" 3 ", "+3", "-0", "4/2", "1/2",
+                                       "\u0663", "-7", "12"])
+    def test_same_tableau_as_parse_rational(self, entry):
+        data = entry_doc(entry)
+        tab = document_from_dict(data).tableau()
+        expected = Tableau._from_rows(2, 2, [
+            [[parse_rational(e) for e in row] for row in m]
+            for m in data["basis"]])
+        assert tab == expected and hash(tab) == hash(expected)
+        assert tab.span == expected.span
+
+    @pytest.mark.parametrize("entry, message", [
+        (3, "basis[1][1][1]: rationals must be strings 'p' or 'p/q'"),
+        (None, "basis[1][1][1]: rationals must be strings 'p' or 'p/q'"),
+        ("1.5", "basis[1][1][1]: malformed rational '1.5'"),
+        ("", "basis[1][1][1]: malformed rational ''"),
+        ("1/0", "basis[1][1][1]: zero denominator in '1/0'"),
+        # str.isdigit accepts the superscript and int() refuses it
+        ("\u00b2", "basis[1][1][1]: invalid literal for int() with base 10: "
+                   "'\u00b2'"),
+        ("-\u00b2", "basis[1][1][1]: invalid literal for int() with base "
+                    "10: '-\u00b2'"),
+    ])
+    def test_refused_entries(self, entry, message):
+        with pytest.raises(DocumentError) as exc:
+            document_from_dict(entry_doc(entry))
+        assert str(exc.value) == message
+
+    def test_short_row(self):
+        data = entry_doc("1")
+        data["basis"][1][0] = ["2"]
+        with pytest.raises(DocumentError) as exc:
+            document_from_dict(data)
+        assert str(exc.value) == "basis[1][0]: must have 2 entries"
+
+    def test_missing_row(self):
+        data = entry_doc("1")
+        data["basis"][1] = [["2", "-1"]]
+        with pytest.raises(DocumentError) as exc:
+            document_from_dict(data)
+        assert str(exc.value) == "basis[1]: must have 2 rows"
 
 
 class TestCoefficientDocuments:

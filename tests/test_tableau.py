@@ -293,6 +293,34 @@ class TestCharacters:
                         chars) == expected
         assert fractional
 
+    @pytest.mark.parametrize("scramble", [None, "rows", "random"])
+    def test_identity_reduce_reads_the_kept_rref(self, scramble):
+        # _reduce at the identity pair copies the RREF that the tableau
+        # keeps for the prolongation oracle; it must equal a fresh
+        # elimination, and nothing a caller does to the copy reaches it
+        for k, tab in enumerate(staircase_corpus(23, 8, scramble)):
+            for t in spanning_variants(tab, k) + [Tableau.zero(tab.r, tab.n)]:
+                r, n = t.r, t.n
+                ident = BasisPair.identity(r, n)
+                expected = tableau_mod._reduce_rows(
+                    r, t.rows, _integer_rows(ident.w_change),
+                    _integer_rows(ident.v_change))
+                twin = Tableau._from_rows(r, n, [m.row_list()
+                                                 for m in t.span])
+                assert twin == t and hash(twin) == hash(t)
+                oracle = prolongation_dimension(t)
+                # t's RREF is kept now, twin's is not yet
+                assert twin == t and hash(twin) == hash(t)
+                rows, chars = tableau_mod._reduce(t, ident)
+                assert (rows, chars) == expected
+                assert tableau_mod._reduce(twin, ident) == expected
+                for row in rows:
+                    row[:] = [e + 1 for e in row]
+                rows.append([1] * (r * n))
+                assert tableau_mod._reduce(t, ident) == expected
+                assert prolongation_dimension(t) == oracle
+                assert prolongation_dimension(twin) == oracle
+
     def test_characters_stable_under_more_trials(self):
         tab = tableau_from_coefficients(make_310(Q=7))
         _, c1 = find_generic_basis(tab, seed=0, trials=8)
@@ -575,15 +603,32 @@ class TestGenericBasisSearch:
         expected = [(prolongation_dimension(t)[0],
                      _reference_search(t, seed=0, trials=32)) for t in cases]
         assert expected[1][1][0] != BasisPair.identity(3, 3)
+        pairs = [tableau_mod._basis_pair(c)
+                 for c in tableau_mod._candidates(3, 3, 0, 32)]
 
-        def refuse(*args):
-            raise AssertionError("exact reduction in a certified search")
+        evaluated = []
+        evaluator = tableau_mod._evaluator
 
-        monkeypatch.setattr(tableau_mod, "_reduce", refuse)
+        def recording(tab):
+            evaluate = evaluator(tab)
+
+            def counted(pair):
+                evaluated.append(pair)
+                return evaluate(pair)
+            return counted
+
+        monkeypatch.setattr(tableau_mod, "_evaluator", recording)
+        stops = []
         for t, (dim_a1, ref) in zip(cases, expected):
+            evaluated.clear()
             bp, chars = find_generic_basis(t, dim_a1=dim_a1)
             assert chars.cartan_bound == dim_a1
             assert (bp, chars.s) == ref
+            # the search evaluates every candidate up to the reference
+            # winner and none after it
+            stops.append(pairs.index(ref[0]))
+            assert len(evaluated) == stops[-1] + 1
+        assert stops[0] == 0 and 0 < stops[1] < 32
 
     @pytest.mark.parametrize("scramble", [None, "rows", "random"])
     def test_pi_q_rows_are_the_stacked_rows_in_i_q(self, scramble):
